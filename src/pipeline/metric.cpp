@@ -1,5 +1,10 @@
 #include "pipeline/metric.hpp"
 
+#include <cmath>
+#include <cstddef>
+#include <exception>
+#include <utility>
+
 #include "core/error.hpp"
 #include "core/rng.hpp"
 #include "stats/summary.hpp"
@@ -38,17 +43,87 @@ McmcOptions PerformanceMeasurer::replicate_options(index_t replicate) const {
   return options;
 }
 
+index_t PerformanceMeasurer::y_cap_budget(index_t steps_without) const {
+  const index_t max_steps = solve_options_.max_iterations;
+  const auto without = static_cast<real_t>(steps_without);
+  if (!(y_cap_ * without < static_cast<real_t>(max_steps))) return max_steps;
+  auto budget = std::max<index_t>(
+      1, static_cast<index_t>(std::floor(y_cap_ * without)));
+  // Step past any rounding in y_cap * steps_without: the budget is the first
+  // count the eq. (4) division below itself maps to y_cap.
+  while (budget < max_steps &&
+         static_cast<real_t>(budget) / without < y_cap_) {
+    ++budget;
+  }
+  return budget;
+}
+
 void PerformanceMeasurer::score_solve(const SparseApproximateInverse& precond,
                                       KrylovMethod method,
-                                      MetricResult& result) {
+                                      MetricResult& result) const {
+  // Any run that reaches the budget scores y_cap whether it would converge
+  // later or not, and every shorter run follows the same path, so stopping
+  // there leaves y unchanged.
+  SolveOptions options = solve_options_;
+  options.max_iterations = y_cap_budget(result.steps_without);
   std::vector<real_t> x;
-  const SolveResult res = solve(method, a_, rhs_, precond, x, solve_options_);
+  const SolveResult res = solve(method, a_, rhs_, precond, x, options);
   result.preconditioned_converged = res.converged();
   result.baseline_converged = true;  // baseline counted even when saturated
   result.steps_with =
-      res.converged() ? res.iterations : solve_options_.max_iterations;
+      res.converged() ? res.iterations : options.max_iterations;
   result.y = std::min(y_cap_, static_cast<real_t>(result.steps_with) /
                                   static_cast<real_t>(result.steps_without));
+}
+
+std::vector<MetricResult> PerformanceMeasurer::score_rounds(
+    const std::vector<BatchedGridResult*>& rounds,
+    const std::vector<KrylovMethod>& methods) {
+  // The lazily cached baselines are filled here, before the region, and
+  // only read inside it.
+  std::vector<index_t> bases;
+  bases.reserve(methods.size());
+  for (KrylovMethod method : methods) bases.push_back(baseline_steps(method));
+
+  // One item per (round, trial); item i owns result slots [i*M, (i+1)*M).
+  std::vector<std::pair<BatchedGridResult*, std::size_t>> items;
+  for (BatchedGridResult* round : rounds) {
+    for (std::size_t t = 0; t < round->preconditioners.size(); ++t) {
+      items.emplace_back(round, t);
+    }
+  }
+  const std::size_t n_methods = methods.size();
+  std::vector<MetricResult> results(items.size() * n_methods);
+
+  // Solves of n <= ~1000 systems barely scale inside (vectors sit below the
+  // kernels' parallel threshold, the SpMV splits into one or two chunks), so
+  // the team spreads whole solves instead; the kernels inside run serially
+  // because nested regions are inactive.  Their chunking and reduction
+  // order depend on the shapes only, so every y is bit-identical at any
+  // thread count.  An exception cannot leave the region: the first one is
+  // kept and rethrown after it.
+  std::exception_ptr error;
+#pragma omp parallel for schedule(dynamic, 1)
+  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(items.size());
+       ++i) {
+    try {
+      const auto [round, t] = items[static_cast<std::size_t>(i)];
+      const SparseApproximateInverse precond(
+          std::move(round->preconditioners[t]), "mcmcmi");
+      for (std::size_t m = 0; m < n_methods; ++m) {
+        MetricResult& result =
+            results[static_cast<std::size_t>(i) * n_methods + m];
+        result.steps_without = bases[m];
+        result.build = round->info[t];
+        score_solve(precond, methods[m], result);
+      }
+    } catch (...) {
+#pragma omp critical(mcmi_score_rounds_error)
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (error) std::rethrow_exception(error);
+  return results;
 }
 
 MetricResult PerformanceMeasurer::measure(const McmcParams& params,
@@ -69,21 +144,9 @@ MetricResult PerformanceMeasurer::measure(const McmcParams& params,
 std::vector<MetricResult> PerformanceMeasurer::measure_grid(
     real_t alpha, const std::vector<GridTrial>& trials, KrylovMethod method,
     index_t replicate) {
-  const index_t base = baseline_steps(method);
-
   BatchedGridResult built = batched_grid_build(
       a_, alpha, trials, replicate_options(replicate), &kernel_cache_);
-
-  std::vector<MetricResult> results(trials.size());
-  for (std::size_t t = 0; t < trials.size(); ++t) {
-    MetricResult& result = results[t];
-    result.steps_without = base;
-    result.build = built.info[t];
-    const SparseApproximateInverse precond(
-        std::move(built.preconditioners[t]), "mcmcmi");
-    score_solve(precond, method, result);
-  }
-  return results;
+  return score_rounds({&built}, {method});
 }
 
 std::vector<u64> PerformanceMeasurer::replicate_seeds(
@@ -109,9 +172,6 @@ PerformanceMeasurer::measure_grid_replicates_methods(
     const std::vector<KrylovMethod>& methods, index_t replicates) {
   MCMI_CHECK(replicates >= 1, "need at least one replicate");
   MCMI_CHECK(!methods.empty(), "need at least one Krylov method");
-  std::vector<index_t> bases;
-  bases.reserve(methods.size());
-  for (KrylovMethod method : methods) bases.push_back(baseline_steps(method));
 
   // One interleaved walk ensemble serves every (trial, replicate) — and
   // every method, because P does not depend on the solver: each replicate's
@@ -120,25 +180,17 @@ PerformanceMeasurer::measure_grid_replicates_methods(
   ReplicatedGridResult built = replicate_batched_grid_build(
       a_, alpha, trials, replicate_seeds(replicates), mcmc_options_,
       &kernel_cache_);
+  std::vector<BatchedGridResult*> rounds;
+  for (BatchedGridResult& round : built.replicates) rounds.push_back(&round);
+  const std::vector<MetricResult> results = score_rounds(rounds, methods);
 
   std::vector<std::vector<std::vector<real_t>>> ys(
       methods.size(), std::vector<std::vector<real_t>>(trials.size()));
-  for (auto& per_method : ys) {
-    for (auto& column : per_method) {
-      column.reserve(static_cast<std::size_t>(replicates));
-    }
-  }
+  std::size_t k = 0;  // results are in (replicate, trial, method) order
   for (index_t r = 0; r < replicates; ++r) {
-    BatchedGridResult& round = built.replicates[static_cast<std::size_t>(r)];
     for (std::size_t t = 0; t < trials.size(); ++t) {
-      const SparseApproximateInverse precond(
-          std::move(round.preconditioners[t]), "mcmcmi");
       for (std::size_t m = 0; m < methods.size(); ++m) {
-        MetricResult result;
-        result.steps_without = bases[m];
-        result.build = round.info[t];
-        score_solve(precond, methods[m], result);
-        ys[m][t].push_back(result.y);
+        ys[m][t].push_back(results[k++].y);
       }
     }
   }
@@ -150,7 +202,6 @@ std::vector<real_t> PerformanceMeasurer::measure_grouped_medians(
     index_t replicates) {
   MCMI_CHECK(replicates >= 1, "need at least one replicate");
   if (grid.empty()) return {};
-  const index_t base = baseline_steps(method);
   const std::vector<AlphaGroup> groups = group_grid_by_alpha(grid);
 
   // The multi-alpha builder shares one ensemble's successor draws across
@@ -160,25 +211,21 @@ std::vector<real_t> PerformanceMeasurer::measure_grouped_medians(
   // medians — are bit-identical either way.
   MultiAlphaGridResult built = multi_alpha_grid_build(
       a_, groups, replicate_seeds(replicates), mcmc_options_, &kernel_cache_);
+  std::vector<BatchedGridResult*> rounds;
+  for (ReplicatedGridResult& group : built.groups) {
+    for (BatchedGridResult& round : group.replicates) rounds.push_back(&round);
+  }
+  const std::vector<MetricResult> results = score_rounds(rounds, {method});
 
   std::vector<real_t> medians(grid.size(), 0.0);
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    std::vector<std::vector<real_t>> ys(groups[g].trials.size());
+  std::size_t k = 0;  // results are in (group, replicate, trial) order
+  for (const AlphaGroup& group : groups) {
+    std::vector<std::vector<real_t>> ys(group.trials.size());
     for (index_t r = 0; r < replicates; ++r) {
-      BatchedGridResult& round =
-          built.groups[g].replicates[static_cast<std::size_t>(r)];
-      for (std::size_t t = 0; t < groups[g].trials.size(); ++t) {
-        MetricResult result;
-        result.steps_without = base;
-        result.build = round.info[t];
-        const SparseApproximateInverse precond(
-            std::move(round.preconditioners[t]), "mcmcmi");
-        score_solve(precond, method, result);
-        ys[t].push_back(result.y);
-      }
+      for (std::vector<real_t>& column : ys) column.push_back(results[k++].y);
     }
-    for (std::size_t t = 0; t < groups[g].trials.size(); ++t) {
-      medians[static_cast<std::size_t>(groups[g].indices[t])] = median(ys[t]);
+    for (std::size_t t = 0; t < group.trials.size(); ++t) {
+      medians[static_cast<std::size_t>(group.indices[t])] = median(ys[t]);
     }
   }
   return medians;

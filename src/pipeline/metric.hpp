@@ -19,8 +19,13 @@ namespace mcmi {
 
 struct MetricResult {
   real_t y = 0.0;                ///< the eq. (4) ratio
+  /// Steps of the budgeted preconditioned solve: it stops at the first step
+  /// count whose ratio already reaches y_cap (y is the same as without the
+  /// budget), so a capped run reports that budget, not max_iterations.
   index_t steps_with = 0;
   index_t steps_without = 0;
+  /// Whether the budgeted solve converged (false for a run cut at the
+  /// budget even if a longer one would have converged).
   bool preconditioned_converged = false;
   bool baseline_converged = false;
   McmcBuildInfo build;           ///< sampler diagnostics
@@ -31,6 +36,12 @@ struct MetricResult {
 /// the walk kernel (with its alias tables) is cached per alpha — the grid /
 /// HPO loops probe many (eps, delta) trials per alpha, so only the sampling
 /// itself is redone per trial.
+///
+/// The batched probes (measure_grid*, measure_grouped_medians) score their
+/// preconditioners concurrently, one serial Krylov solve per (trial,
+/// replicate) across the OpenMP team; the single-trial calls (measure,
+/// measure_replicates) thread inside the solve instead.  Results are
+/// bit-identical at any thread count either way.
 class PerformanceMeasurer {
  public:
   /// `solve_options` applies to both baseline and preconditioned runs;
@@ -101,10 +112,22 @@ class PerformanceMeasurer {
   /// The chain-stream seeds of replicates 0..replicates-1, in order — the
   /// lane seeds handed to the replicate-batched builders.
   [[nodiscard]] std::vector<u64> replicate_seeds(index_t replicates) const;
-  /// Solve with `precond`, fill the step counts and the capped eq. (4)
-  /// ratio of `result` (steps_without must be set).
+  /// The iteration budget of a scored solve: the smallest step count whose
+  /// eq. (4) ratio against `steps_without` reaches y_cap, or max_iterations
+  /// when the cap lies beyond it.
+  [[nodiscard]] index_t y_cap_budget(index_t steps_without) const;
+  /// Solve with `precond` under the y_cap budget, fill the step counts and
+  /// the capped eq. (4) ratio of `result` (steps_without must be set).
+  /// Reads only immutable state, so concurrent calls are safe.
   void score_solve(const SparseApproximateInverse& precond,
-                   KrylovMethod method, MetricResult& result);
+                   KrylovMethod method, MetricResult& result) const;
+  /// Score every preconditioner of `rounds` under every method: one item
+  /// per (round, trial), spread over the OpenMP team (dynamic, 1), each
+  /// moving its own P out of its round and running its solves serially.
+  /// Results come back in (round, trial, method) order.
+  std::vector<MetricResult> score_rounds(
+      const std::vector<BatchedGridResult*>& rounds,
+      const std::vector<KrylovMethod>& methods);
 
   const CsrMatrix& a_;
   SolveOptions solve_options_;

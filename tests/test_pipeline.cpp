@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "core/rng.hpp"
 #include "gen/matrix_set.hpp"
@@ -19,6 +25,26 @@ SolveOptions quick_solve() {
   opt.restart = 250;
   opt.max_iterations = 1500;
   return opt;
+}
+
+/// Runs `probe` with OpenMP teams of 1 and of 4 threads and returns both
+/// results, restoring the caller's team size (a build without OpenMP runs
+/// it twice serially).  The batched probes score concurrently, so the two
+/// must agree bit for bit.
+template <class Probe>
+auto at_one_and_four_threads(Probe probe) {
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  auto one = probe();
+  omp_set_num_threads(4);
+  auto four = probe();
+  omp_set_num_threads(saved);
+  return std::make_pair(std::move(one), std::move(four));
+#else
+  auto one = probe();
+  return std::make_pair(std::move(one), probe());
+#endif
 }
 
 TEST(Metric, RatioBelowOneOnPreconditionableMatrix) {
@@ -74,9 +100,52 @@ TEST(Metric, DivergentAlphaIsCappedFailureSignal) {
   EXPECT_LE(r.y, 4.0);  // the cap
 }
 
+TEST(Metric, YCapBudgetLeavesYUnchanged) {
+  // Scored solves stop at the first step count the cap already covers.  A
+  // measurer whose cap never binds (so its solves run to max_iterations)
+  // must give exactly the same y's once they are capped.
+  const NamedMatrix nm = make_matrix("2DFDLaplace_16");
+  McmcOptions mcmc;
+  mcmc.walk_cap = 64;
+  PerformanceMeasurer capped(nm.matrix, quick_solve(), mcmc, 4.0);
+  PerformanceMeasurer unbounded(nm.matrix, quick_solve(), mcmc, 1e9);
+  const std::vector<GridTrial> trials = {{0.5, 0.5}, {0.25, 0.125}};
+  const std::vector<KrylovMethod> methods = {KrylovMethod::kGMRES,
+                                             KrylovMethod::kBiCGStab};
+  index_t at_cap = 0;
+  for (real_t alpha : {0.01, 1.0}) {  // 0.01 is the divergent alpha
+    const auto ys =
+        capped.measure_grid_replicates_methods(alpha, trials, methods, 2);
+    const auto full =
+        unbounded.measure_grid_replicates_methods(alpha, trials, methods, 2);
+    for (std::size_t m = 0; m < methods.size(); ++m) {
+      for (std::size_t t = 0; t < trials.size(); ++t) {
+        for (std::size_t r = 0; r < 2; ++r) {
+          EXPECT_EQ(ys[m][t][r], std::min(4.0, full[m][t][r]))
+              << "alpha " << alpha << " method " << m << " trial " << t
+              << " replicate " << r;
+          if (ys[m][t][r] == 4.0) ++at_cap;
+        }
+      }
+    }
+  }
+  EXPECT_GT(at_cap, 0);  // the budget was exercised
+
+  // The single-trial path shares score_solve; there the budget shows in
+  // the step count of the capped run.
+  const MetricResult r =
+      capped.measure({0.01, 0.5, 0.5}, KrylovMethod::kGMRES, 0);
+  const MetricResult full =
+      unbounded.measure({0.01, 0.5, 0.5}, KrylovMethod::kGMRES, 0);
+  EXPECT_EQ(r.y, std::min(4.0, full.y));
+  EXPECT_EQ(r.y, 4.0);
+  EXPECT_LT(r.steps_with, full.steps_with);
+}
+
 TEST(Metric, MeasureGridMatchesPerTrialMeasure) {
   // The batched probe must reproduce measure() exactly: same replicate
-  // seeds, bit-identical preconditioner, so identical step counts and y.
+  // seeds, bit-identical preconditioner, so identical step counts and y —
+  // at one thread and with its solves spread over four.
   const NamedMatrix nm = make_matrix("PDD_RealSparse_N64");
   PerformanceMeasurer batched(nm.matrix, quick_solve());
   PerformanceMeasurer serial(nm.matrix, quick_solve());
@@ -84,10 +153,15 @@ TEST(Metric, MeasureGridMatchesPerTrialMeasure) {
   const std::vector<GridTrial> trials = {
       {0.5, 0.5}, {0.25, 0.125}, {0.125, 0.0625}, {0.5, 0.0625}};
   for (index_t replicate = 0; replicate < 2; ++replicate) {
-    const std::vector<MetricResult> grid =
-        batched.measure_grid(alpha, trials, KrylovMethod::kGMRES, replicate);
+    const auto [grid, grid4] = at_one_and_four_threads([&] {
+      return batched.measure_grid(alpha, trials, KrylovMethod::kGMRES,
+                                  replicate);
+    });
     ASSERT_EQ(grid.size(), trials.size());
+    ASSERT_EQ(grid4.size(), trials.size());
     for (std::size_t t = 0; t < trials.size(); ++t) {
+      EXPECT_EQ(grid4[t].steps_with, grid[t].steps_with) << "trial " << t;
+      EXPECT_EQ(grid4[t].y, grid[t].y) << "trial " << t;
       const MetricResult single = serial.measure(
           {alpha, trials[t].eps, trials[t].delta}, KrylovMethod::kGMRES,
           replicate);
@@ -152,9 +226,12 @@ TEST(Metric, MultiMethodGridMatchesPerMethodGrids) {
   PerformanceMeasurer gmres_only(nm.matrix, quick_solve());
   PerformanceMeasurer bicg_only(nm.matrix, quick_solve());
   const std::vector<GridTrial> trials = {{0.5, 0.5}, {0.25, 0.125}};
-  const auto ys = multi.measure_grid_replicates_methods(
-      1.0, trials, {KrylovMethod::kGMRES, KrylovMethod::kBiCGStab}, 2);
+  const auto [ys, ys4] = at_one_and_four_threads([&] {
+    return multi.measure_grid_replicates_methods(
+        1.0, trials, {KrylovMethod::kGMRES, KrylovMethod::kBiCGStab}, 2);
+  });
   ASSERT_EQ(ys.size(), 2u);
+  EXPECT_EQ(ys4, ys);  // concurrent scoring is thread-count invariant
   EXPECT_EQ(ys[0], gmres_only.measure_grid_replicates(
                        1.0, trials, KrylovMethod::kGMRES, 2));
   EXPECT_EQ(ys[1], bicg_only.measure_grid_replicates(
@@ -174,9 +251,12 @@ TEST(Metric, GroupedMediansMatchPerPointMedians) {
                                         {1.0, 0.25, 0.25},
                                         {2.0, 0.5, 0.125}};
   const index_t replicates = 3;
-  const std::vector<real_t> medians =
-      grouped.measure_grouped_medians(grid, KrylovMethod::kGMRES, replicates);
+  const auto [medians, medians4] = at_one_and_four_threads([&] {
+    return grouped.measure_grouped_medians(grid, KrylovMethod::kGMRES,
+                                           replicates);
+  });
   ASSERT_EQ(medians.size(), grid.size());
+  EXPECT_EQ(medians4, medians);  // concurrent scoring is thread-count invariant
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const std::vector<real_t> ys =
         serial.measure_replicates(grid[i], KrylovMethod::kGMRES, replicates);
