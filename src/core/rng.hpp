@@ -60,60 +60,11 @@ class Xoshiro256 {
     return result;
   }
 
-  /// The four raw state words — the seed for SIMD lane batches
-  /// (`Xoshiro256Batch`), which must resume this exact stream.
-  [[nodiscard]] const std::array<u64, 4>& state_words() const { return s_; }
-
  private:
   static constexpr u64 rotl(u64 x, int k) {
     return (x << k) | (x >> (64 - k));
   }
   std::array<u64, 4> s_{};
-};
-
-/// W independent Xoshiro256++ streams in struct-of-arrays layout: one
-/// `next()` call fills W draws, advancing every lane with the exact scalar
-/// update of `Xoshiro256::operator()` — lane l's sequence is bitwise the
-/// sequence of the engine it was seeded from via `set_lane`.  The per-lane
-/// state lives in flat arrays (no pointer-chasing through per-lane engine
-/// objects), so the compiler can keep it in vector registers and the W
-/// updates auto-vectorise: this is the batched RNG tier of the lockstep
-/// walk engine (mcmc/batched_build.cpp).
-template <int W>
-struct Xoshiro256Batch {
-  u64 s0[W];
-  u64 s1[W];
-  u64 s2[W];
-  u64 s3[W];
-
-  /// Load lane `lane` with the current state of `rng`; the lane's draws
-  /// continue `rng`'s stream bit-for-bit.
-  void set_lane(int lane, const Xoshiro256& rng) {
-    const std::array<u64, 4>& s = rng.state_words();
-    s0[lane] = s[0];
-    s1[lane] = s[1];
-    s2[lane] = s[2];
-    s3[lane] = s[3];
-  }
-
-  /// Advance every lane one step and store its draw in `out[lane]`.
-  void next(u64* out) {
-    for (int l = 0; l < W; ++l) {
-      out[l] = rotl64(s0[l] + s3[l], 23) + s0[l];
-      const u64 t = s1[l] << 17;
-      s2[l] ^= s0[l];
-      s3[l] ^= s1[l];
-      s1[l] ^= s2[l];
-      s0[l] ^= s3[l];
-      s2[l] ^= t;
-      s3[l] = rotl64(s3[l], 45);
-    }
-  }
-
- private:
-  static constexpr u64 rotl64(u64 x, int k) {
-    return (x << k) | (x >> (64 - k));
-  }
 };
 
 /// Uniform double in [0, 1) using the top 53 bits.

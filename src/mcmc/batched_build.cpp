@@ -401,247 +401,6 @@ void run_lockstep_chains(const WalkKernel* const* kernels, index_t n_alphas,
   }
 }
 
-/// The compile-time lane-width tier of the lockstep engine: the same chain
-/// semantics as `run_lockstep_chains<method, false>` with the per-lane walk
-/// state (RNG words, position, weight, step count) hoisted out of the `Lane`
-/// structs into W-wide struct-of-arrays locals the compiler can keep in
-/// registers, a batched RNG that advances all W streams per round
-/// (`Xoshiro256Batch`), and batched alias-table lookups
-/// (`AliasTable::sample_batch`) that issue the W dependent loads together.
-/// Lane retirement is a bitmask instead of pointer swap-removal, so the
-/// round loops have a compile-time trip count.
-///
-/// Bit-identity with the dynamic tier: each lane's chain stream is recreated
-/// per chain via make_stream, so advancing a retired lane's (dead) stream in
-/// the batched draw is unobservable; an active lane at round s has consumed
-/// exactly s draws in both tiers (absorbing lanes retire *before* the round's
-/// draw, exactly as the dynamic engine checks `begin == end` before
-/// sampling), and every weight/accumulator/mark update below is the
-/// dynamic engine's, expression for expression.  Single-alpha only — the
-/// multi-alpha ensemble always runs the dynamic tier.
-/// The single-unit engine of the specialised tier: when every lane's live
-/// list holds exactly one group — one (alpha, trial) unit per replicate,
-/// the shape of the tuning loop's per-candidate replicate evaluation — the
-/// whole stop rule is lane-invariant (the unit's delta, cutoff, and
-/// accounting entry are shared; only the accumulator differs per lane), so
-/// it lifts out of the `LiveGroup` scratch into scalars and per-lane
-/// pointer arrays.  The per-transition inner loop then touches no `Lane`
-/// or `LiveGroup` storage at all: stop-rule compares run against
-/// register-resident scalars and the three remaining memory accesses are
-/// the kernel loads, the accumulator add, and the epoch mark — the
-/// irreducible set.  Same per-lane expression order as the dynamic tier,
-/// so bit-identity is preserved (see run_lockstep_chains_spec below).
-template <SamplingMethod method, int W>
-void run_lockstep_chains_spec_single(const WalkKernel& k0, Lane* lanes,
-                                     u32 epoch) {
-  const real_t delta = lanes[0].live[0].delta;
-  const index_t cutoff = lanes[0].live[0].cutoff;
-  const SegEntry* entry = lanes[0].live[0].entry;
-  Xoshiro256Batch<W> rng;
-  index_t state[W];
-  index_t steps[W];
-  real_t weight[W];
-  real_t* acc[W];
-  u32* mark[W];
-  std::vector<index_t>* vis[W];
-  u32 active = 0;
-  for (int l = 0; l < W; ++l) {
-    rng.set_lane(l, lanes[l].rng);
-    state[l] = lanes[l].state;
-    steps[l] = lanes[l].steps;
-    weight[l] = lanes[l].weights[0];
-    acc[l] = lanes[l].live[0].acc;
-    mark[l] = lanes[l].mark;
-    vis[l] = lanes[l].visited;
-    active |= u32{1} << l;
-  }
-  u64 bits[W];
-  index_t begin[W];
-  index_t end[W];
-  index_t p[W];
-  while (active != 0) {
-    for (int l = 0; l < W; ++l) {
-      begin[l] = k0.row_ptr[state[l]];
-      end[l] = k0.row_ptr[state[l] + 1];
-    }
-    for (int l = 0; l < W; ++l) {
-      if (((active >> l) & 1u) != 0 && begin[l] == end[l]) {
-        // Absorbing state: the group consumed the whole walk, no draw spent.
-        for (index_t t : entry->trials) lanes[l].trans[t] += steps[l];
-        active &= ~(u32{1} << l);
-      }
-    }
-    if (active == 0) break;
-    rng.next(bits);
-    if constexpr (method == SamplingMethod::kAlias) {
-      k0.alias.template sample_batch<W>(begin, end, bits, p);
-    } else {
-      for (int l = 0; l < W; ++l) {
-        if (((active >> l) & 1u) == 0) {
-          p[l] = 0;
-          continue;
-        }
-        const real_t target = static_cast<real_t>(bits[l] >> 11) * 0x1.0p-53 *
-                              k0.row_sum[state[l]];
-        const auto first = k0.cum_abs.begin() + begin[l];
-        const auto last = k0.cum_abs.begin() + end[l];
-        auto it = std::upper_bound(first, last, target);
-        if (it == last) --it;
-        p[l] = static_cast<index_t>(it - k0.cum_abs.begin());
-      }
-    }
-    for (int l = 0; l < W; ++l) {
-      if (((active >> l) & 1u) == 0) continue;
-      weight[l] *= k0.signed_sum[p[l]];
-      state[l] = k0.succ[p[l]];
-      ++steps[l];
-      const real_t aw = std::abs(weight[l]);
-      if (aw > kDivergenceGuard) {
-        // Blow-up: break at this counted step, nothing accumulated, no mark.
-        for (index_t t : entry->trials) {
-          lanes[l].trans[t] += steps[l];
-          lanes[l].retired[t] += 1;
-        }
-        active &= ~(u32{1} << l);
-        continue;
-      }
-      bool done;
-      if (aw < delta) {
-        // Sticky truncation: crossing step counted, not accumulated.
-        for (index_t t : entry->trials) lanes[l].trans[t] += steps[l];
-        done = true;
-      } else {
-        acc[l][state[l]] += weight[l];
-        done = steps[l] == cutoff;
-        if (done) {
-          for (index_t t : entry->trials) lanes[l].trans[t] += steps[l];
-        }
-      }
-      // Mark before retiring the lane: a cutoff removal above accumulated
-      // into this state, so this lane's emission must see it (and the
-      // dynamic tier marks on delta truncation too — a zero-accumulator
-      // candidate the emission threshold then drops).
-      if (mark[l][static_cast<std::size_t>(state[l])] != epoch) {
-        mark[l][static_cast<std::size_t>(state[l])] = epoch;
-        vis[l]->push_back(state[l]);
-      }
-      if (done) active &= ~(u32{1} << l);
-    }
-  }
-}
-
-template <SamplingMethod method, int W>
-void run_lockstep_chains_spec(const WalkKernel& k0, Lane* lanes, u32 epoch) {
-  if (lanes[0].live_count == 1) {
-    // One live group per lane (the live template is lane-uniform): take the
-    // register-resident single-unit engine.
-    run_lockstep_chains_spec_single<method, W>(k0, lanes, epoch);
-    return;
-  }
-  Xoshiro256Batch<W> rng;
-  index_t state[W];
-  index_t steps[W];
-  real_t weight[W];
-  u32 active = 0;
-  for (int l = 0; l < W; ++l) {
-    rng.set_lane(l, lanes[l].rng);
-    state[l] = lanes[l].state;
-    steps[l] = lanes[l].steps;
-    weight[l] = lanes[l].weights[0];
-    active |= u32{1} << l;
-  }
-  u64 bits[W];
-  index_t begin[W];
-  index_t end[W];
-  index_t p[W];
-  while (active != 0) {
-    // Gather the row ranges of all W lanes together (a retired lane reads
-    // its stale — still valid — position; its range is never acted on).
-    for (int l = 0; l < W; ++l) {
-      begin[l] = k0.row_ptr[state[l]];
-      end[l] = k0.row_ptr[state[l] + 1];
-    }
-    // Absorbing states retire before the draw: the surviving groups
-    // consumed the whole walk, and no RNG word is spent (the dynamic tier
-    // breaks before sampling too).
-    for (int l = 0; l < W; ++l) {
-      if (((active >> l) & 1u) != 0 && begin[l] == end[l]) {
-        Lane& lane = lanes[l];
-        for (index_t m = 0; m < lane.live_count; ++m) {
-          for (index_t t : lane.live[m].entry->trials) {
-            lane.trans[t] += steps[l];
-          }
-        }
-        active &= ~(u32{1} << l);
-      }
-    }
-    if (active == 0) break;
-    // One batched draw advances every lane's stream; retired lanes' words
-    // are dead (their streams are re-keyed at the next chain).
-    rng.next(bits);
-    if constexpr (method == SamplingMethod::kAlias) {
-      k0.alias.template sample_batch<W>(begin, end, bits, p);
-    } else {
-      for (int l = 0; l < W; ++l) {
-        if (((active >> l) & 1u) == 0) {
-          p[l] = 0;
-          continue;
-        }
-        const real_t target = static_cast<real_t>(bits[l] >> 11) * 0x1.0p-53 *
-                              k0.row_sum[state[l]];
-        const auto first = k0.cum_abs.begin() + begin[l];
-        const auto last = k0.cum_abs.begin() + end[l];
-        auto it = std::upper_bound(first, last, target);
-        if (it == last) --it;
-        p[l] = static_cast<index_t>(it - k0.cum_abs.begin());
-      }
-    }
-    for (int l = 0; l < W; ++l) {
-      if (((active >> l) & 1u) == 0) continue;
-      Lane& lane = lanes[l];
-      weight[l] *= k0.signed_sum[p[l]];
-      state[l] = k0.succ[p[l]];
-      ++steps[l];
-      const real_t aw = std::abs(weight[l]);
-      if (aw > kDivergenceGuard) {
-        // Blow-up: every still-running group breaks at this counted step,
-        // nothing accumulated and no mark (run_walk breaks before both).
-        for (index_t m = 0; m < lane.live_count; ++m) {
-          for (index_t t : lane.live[m].entry->trials) {
-            lane.trans[t] += steps[l];
-            lane.retired[t] += 1;
-          }
-        }
-        active &= ~(u32{1} << l);
-        continue;
-      }
-      for (index_t m = 0; m < lane.live_count;) {
-        LiveGroup& e = lane.live[m];
-        if (aw < e.delta) {
-          // Sticky truncation: crossing step counted, not accumulated.
-          for (index_t t : e.entry->trials) lane.trans[t] += steps[l];
-          e = lane.live[--lane.live_count];
-          continue;
-        }
-        e.acc[state[l]] += weight[l];
-        if (steps[l] == e.cutoff) {
-          for (index_t t : e.entry->trials) lane.trans[t] += steps[l];
-          e = lane.live[--lane.live_count];
-          continue;
-        }
-        ++m;
-      }
-      // Mark before retiring the lane: a cutoff removal above accumulated
-      // into this state, so this lane's emission must see it.
-      if (lane.mark[static_cast<std::size_t>(state[l])] != epoch) {
-        lane.mark[static_cast<std::size_t>(state[l])] = epoch;
-        lane.visited->push_back(state[l]);
-      }
-      if (lane.live_count == 0) active &= ~(u32{1} << l);
-    }
-  }
-}
-
 /// Flattened build request for the interleaved engine: one "unit" per
 /// (alpha, trial) pair, one lane per replicate seed.
 struct EngineUnits {
@@ -848,28 +607,11 @@ EngineOutput run_interleaved_engine(const CsrMatrix& a,
               // k = 0 term of the Neumann series, once per chain per group.
               for (index_t m = 0; m < entries; ++m) lane.live[m].acc[i] += 1.0;
             }
-            // Lane-tier dispatch on the active lane count: single-alpha
-            // ensembles whose lane count matches a compiled width run the
-            // SIMD tier (register-resident SoA state, batched RNG + alias
-            // lookups); everything else — multi-alpha, odd lane counts, or
-            // an explicit opt-out — runs the dynamic tier.  Both tiers are
-            // bit-identical, so the choice is invisible in the output.
-            const bool spec = !multi && !options.force_dynamic_lanes &&
-                              (n_lanes == 4 || n_lanes == 8 || n_lanes == 16);
             if (options.sampling == SamplingMethod::kAlias) {
               if (multi) {
                 run_lockstep_chains<SamplingMethod::kAlias, true>(
                     kernels.data(), n_alphas, lanes.data(), active_ptrs.data(),
                     n_lanes, epoch);
-              } else if (spec && n_lanes == 4) {
-                run_lockstep_chains_spec<SamplingMethod::kAlias, 4>(
-                    *kernels[0], lanes.data(), epoch);
-              } else if (spec && n_lanes == 8) {
-                run_lockstep_chains_spec<SamplingMethod::kAlias, 8>(
-                    *kernels[0], lanes.data(), epoch);
-              } else if (spec && n_lanes == 16) {
-                run_lockstep_chains_spec<SamplingMethod::kAlias, 16>(
-                    *kernels[0], lanes.data(), epoch);
               } else {
                 run_lockstep_chains<SamplingMethod::kAlias, false>(
                     kernels.data(), n_alphas, lanes.data(), active_ptrs.data(),
@@ -880,15 +622,6 @@ EngineOutput run_interleaved_engine(const CsrMatrix& a,
                 run_lockstep_chains<SamplingMethod::kInverseCdf, true>(
                     kernels.data(), n_alphas, lanes.data(), active_ptrs.data(),
                     n_lanes, epoch);
-              } else if (spec && n_lanes == 4) {
-                run_lockstep_chains_spec<SamplingMethod::kInverseCdf, 4>(
-                    *kernels[0], lanes.data(), epoch);
-              } else if (spec && n_lanes == 8) {
-                run_lockstep_chains_spec<SamplingMethod::kInverseCdf, 8>(
-                    *kernels[0], lanes.data(), epoch);
-              } else if (spec && n_lanes == 16) {
-                run_lockstep_chains_spec<SamplingMethod::kInverseCdf, 16>(
-                    *kernels[0], lanes.data(), epoch);
               } else {
                 run_lockstep_chains<SamplingMethod::kInverseCdf, false>(
                     kernels.data(), n_alphas, lanes.data(), active_ptrs.data(),
@@ -1223,7 +956,8 @@ ReplicatedGridResult replicate_batched_grid_build(
 
   ReplicatedGridResult result;
   if (replicate_seeds.size() == 1) {
-    // One lane is exactly the single-ensemble build — no lockstep overhead.
+    // One lane is exactly the single-ensemble build; run_shared_walk stays
+    // because the one-lane lockstep engine measured ~10-20% slower on it.
     McmcOptions single = options;
     single.seed = replicate_seeds.front();
     result.replicates.push_back(

@@ -53,11 +53,6 @@ struct McmcOptions {
   /// A build that stops early discards all partial artifacts and reports
   /// the reason in McmcBuildInfo::status.
   const CancelToken* cancel = nullptr;
-  /// Opt out of the compile-time SIMD lane tier of the lockstep engine
-  /// (mcmc/batched_build.cpp): when set, interleaved ensembles always run
-  /// the dynamic-lane-count path.  The two tiers are bit-identical; this
-  /// knob exists for A/B benchmarking and conformance testing only.
-  bool force_dynamic_lanes = false;
 };
 
 /// Diagnostics from a preconditioner build.

@@ -194,6 +194,9 @@ void check_replicated(const CsrMatrix& a, real_t alpha,
       EXPECT_EQ(batched.replicates[r].info[t].total_transitions,
                 standalone.info().total_transitions)
           << label << " replicate " << r << " trial " << t;
+      EXPECT_EQ(batched.replicates[r].info[t].divergence_retirements,
+                standalone.info().divergence_retirements)
+          << label << " replicate " << r << " trial " << t;
       EXPECT_EQ(batched.replicates[r].info[t].chains_per_row,
                 standalone.info().chains_per_row);
       EXPECT_EQ(batched.replicates[r].info[t].walk_cutoff,
@@ -203,6 +206,13 @@ void check_replicated(const CsrMatrix& a, real_t alpha,
   }
 }
 
+/// `count` distinct replicate seeds.
+std::vector<u64> spaced_seeds(std::size_t count) {
+  std::vector<u64> seeds(count);
+  for (std::size_t i = 0; i < count; ++i) seeds[i] = 1000 + 37 * i;
+  return seeds;
+}
+
 TEST(ReplicateBatchedBuild, BitIdenticalOnLaplace) {
   const CsrMatrix a = laplace_2d(10);
   const std::vector<u64> seeds = {11, 20250922, 77777};
@@ -210,6 +220,18 @@ TEST(ReplicateBatchedBuild, BitIdenticalOnLaplace) {
   McmcOptions cdf;
   cdf.sampling = SamplingMethod::kInverseCdf;
   check_replicated(a, 1.0, test_grid(), seeds, cdf, "rep/laplace/cdf");
+  // Wide ensembles, and one-trial grids whose live list is one unit wide
+  // (the replicate-evaluation shape of the tuning loop).
+  const CsrMatrix small = laplace_2d(8);
+  const std::vector<GridTrial> two = {{0.25, 0.125}, {0.5, 0.5}};
+  const std::vector<GridTrial> one = {{0.25, 0.125}};
+  for (std::size_t width : {4u, 8u, 16u}) {
+    const std::vector<u64> wide = spaced_seeds(width);
+    check_replicated(small, 1.0, two, wide, {}, "rep/wide/alias");
+    check_replicated(small, 1.0, two, wide, cdf, "rep/wide/cdf");
+    check_replicated(small, 1.0, one, wide, {}, "rep/wide/single/alias");
+    check_replicated(small, 1.0, one, wide, cdf, "rep/wide/single/cdf");
+  }
 }
 
 TEST(ReplicateBatchedBuild, BitIdenticalOnRandomSparse) {
@@ -219,56 +241,63 @@ TEST(ReplicateBatchedBuild, BitIdenticalOnRandomSparse) {
   McmcOptions cdf;
   cdf.sampling = SamplingMethod::kInverseCdf;
   check_replicated(a, 2.0, test_grid(), seeds, cdf, "rep/random/cdf");
+  check_replicated(a, 2.0, test_grid(), spaced_seeds(8), {},
+                   "rep/random/8-lane");
 }
 
 TEST(ReplicateBatchedBuild, BitIdenticalOnDivergentKernel) {
   const CsrMatrix a = divergent_matrix();
   McmcOptions opt;
   opt.walk_cap = 64;
-  const std::vector<u64> seeds = {5, 6};
-  check_replicated(a, 0.01, test_grid(), seeds, opt, "rep/divergent/alias");
   McmcOptions cdf = opt;
   cdf.sampling = SamplingMethod::kInverseCdf;
-  check_replicated(a, 0.01, test_grid(), seeds, cdf, "rep/divergent/cdf");
+  for (const std::vector<u64>& seeds :
+       {std::vector<u64>{5, 6}, spaced_seeds(4)}) {
+    check_replicated(a, 0.01, test_grid(), seeds, opt, "rep/divergent/alias");
+    check_replicated(a, 0.01, test_grid(), seeds, cdf, "rep/divergent/cdf");
+  }
+  check_replicated(a, 0.01, {{0.25, 0.125}}, spaced_seeds(8), opt,
+                   "rep/divergent/single");
 }
 
 TEST(ReplicateBatchedBuild, DeterministicAcrossThreadCountsAndRanks) {
   const CsrMatrix a = pdd_real_sparse(50, 0.15, 51);
   const std::vector<GridTrial> trials = test_grid();
-  const std::vector<u64> seeds = {31, 32, 33};
-
-  auto build = [&](int threads, index_t ranks) {
+  for (const std::vector<u64>& seeds :
+       {std::vector<u64>{31, 32, 33}, spaced_seeds(4)}) {
+    auto build = [&](int threads, index_t ranks) {
 #ifdef _OPENMP
-    omp_set_num_threads(threads);
+      omp_set_num_threads(threads);
 #else
-    (void)threads;
+      (void)threads;
 #endif
-    McmcOptions opt;
-    opt.ranks = ranks;
-    return replicate_batched_grid_build(a, 1.0, trials, seeds, opt);
-  };
+      McmcOptions opt;
+      opt.ranks = ranks;
+      return replicate_batched_grid_build(a, 1.0, trials, seeds, opt);
+    };
 
 #ifdef _OPENMP
-  const int saved = omp_get_max_threads();
+    const int saved = omp_get_max_threads();
 #endif
-  const ReplicatedGridResult r1 = build(1, 2);
-  const ReplicatedGridResult r2 = build(2, 2);
-  const ReplicatedGridResult r4 = build(4, 2);
-  const ReplicatedGridResult rank1 = build(4, 1);
+    const ReplicatedGridResult r1 = build(1, 2);
+    const ReplicatedGridResult r2 = build(2, 2);
+    const ReplicatedGridResult r4 = build(4, 2);
+    const ReplicatedGridResult rank1 = build(4, 1);
 #ifdef _OPENMP
-  omp_set_num_threads(saved);
+    omp_set_num_threads(saved);
 #endif
 
-  for (std::size_t r = 0; r < seeds.size(); ++r) {
-    for (std::size_t t = 0; t < trials.size(); ++t) {
-      expect_equal(r2.replicates[r].preconditioners[t],
-                   r1.replicates[r].preconditioners[t], "rep-2-thread", t);
-      expect_equal(r4.replicates[r].preconditioners[t],
-                   r1.replicates[r].preconditioners[t], "rep-4-thread", t);
-      expect_equal(rank1.replicates[r].preconditioners[t],
-                   r1.replicates[r].preconditioners[t], "rep-1-rank", t);
-      EXPECT_EQ(r2.replicates[r].info[t].total_transitions,
-                r1.replicates[r].info[t].total_transitions);
+    for (std::size_t r = 0; r < seeds.size(); ++r) {
+      for (std::size_t t = 0; t < trials.size(); ++t) {
+        expect_equal(r2.replicates[r].preconditioners[t],
+                     r1.replicates[r].preconditioners[t], "rep-2-thread", t);
+        expect_equal(r4.replicates[r].preconditioners[t],
+                     r1.replicates[r].preconditioners[t], "rep-4-thread", t);
+        expect_equal(rank1.replicates[r].preconditioners[t],
+                     r1.replicates[r].preconditioners[t], "rep-1-rank", t);
+        EXPECT_EQ(r2.replicates[r].info[t].total_transitions,
+                  r1.replicates[r].info[t].total_transitions);
+      }
     }
   }
 }
@@ -284,6 +313,9 @@ TEST(ReplicateBatchedBuild, DuplicateSeedsGiveIdenticalReplicates) {
     EXPECT_EQ(r.replicates[0].info[t].total_transitions,
               r.replicates[1].info[t].total_transitions);
   }
+  // Duplicate lanes draw identical streams and retire on the same round.
+  check_replicated(a, 1.0, {{0.25, 0.125}}, {42, 42, 7, 42, 7, 42, 42, 42},
+                   {}, "rep/dup-seeds");
 }
 
 TEST(ReplicateBatchedBuild, RejectsEmptySeeds) {
@@ -459,139 +491,6 @@ TEST(MultiAlphaBuild, DivergenceRetiresOneAlphaOnly) {
       multi_alpha_grid_build(a, groups, seeds, opt);
   EXPECT_TRUE(multi.shared_successors);
   check_multi_alpha(a, groups, seeds, opt, "multi/divergent");
-}
-
-/// A/B conformance for the compile-time SIMD lane tier: the same replicate
-/// build with the spec tier eligible (seed counts 4/8/16 dispatch to
-/// run_lockstep_chains_spec<W>) and with force_dynamic_lanes set must be
-/// bit-identical, per replicate and per trial, including the walk
-/// accounting.  Dynamic-vs-standalone equality is already pinned above, so
-/// this transitively pins spec-vs-standalone.
-void check_lane_spec(const CsrMatrix& a, real_t alpha,
-                     const std::vector<GridTrial>& trials,
-                     const std::vector<u64>& seeds,
-                     const McmcOptions& options, const char* label) {
-  const ReplicatedGridResult spec =
-      replicate_batched_grid_build(a, alpha, trials, seeds, options);
-  McmcOptions dyn = options;
-  dyn.force_dynamic_lanes = true;
-  const ReplicatedGridResult dynamic =
-      replicate_batched_grid_build(a, alpha, trials, seeds, dyn);
-  ASSERT_EQ(spec.replicates.size(), seeds.size());
-  ASSERT_EQ(dynamic.replicates.size(), seeds.size());
-  for (std::size_t r = 0; r < seeds.size(); ++r) {
-    for (std::size_t t = 0; t < trials.size(); ++t) {
-      expect_equal(spec.replicates[r].preconditioners[t],
-                   dynamic.replicates[r].preconditioners[t], label,
-                   r * 100 + t);
-      EXPECT_EQ(spec.replicates[r].info[t].total_transitions,
-                dynamic.replicates[r].info[t].total_transitions)
-          << label << " replicate " << r << " trial " << t;
-      EXPECT_EQ(spec.replicates[r].info[t].divergence_retirements,
-                dynamic.replicates[r].info[t].divergence_retirements)
-          << label << " replicate " << r << " trial " << t;
-    }
-  }
-}
-
-std::vector<u64> lane_seeds(std::size_t count) {
-  std::vector<u64> seeds(count);
-  for (std::size_t i = 0; i < count; ++i) seeds[i] = 1000 + 37 * i;
-  return seeds;
-}
-
-TEST(LaneSpecialisation, MatchesDynamicAtEveryWidth) {
-  const CsrMatrix a = laplace_2d(8);
-  const std::vector<GridTrial> trials = {{0.25, 0.125}, {0.5, 0.5}};
-  for (std::size_t width : {4u, 8u, 16u}) {
-    check_lane_spec(a, 1.0, trials, lane_seeds(width), {}, "lane/alias");
-    McmcOptions cdf;
-    cdf.sampling = SamplingMethod::kInverseCdf;
-    check_lane_spec(a, 1.0, trials, lane_seeds(width), cdf, "lane/cdf");
-  }
-}
-
-TEST(LaneSpecialisation, MatchesDynamicOnRandomSparse) {
-  const CsrMatrix a = pdd_real_sparse(60, 0.12, 77);
-  check_lane_spec(a, 2.0, test_grid(), lane_seeds(8), {}, "lane/random");
-}
-
-TEST(LaneSpecialisation, MatchesDynamicOnDivergentKernel) {
-  // The divergence guard retires all of a lane's groups at the counted step
-  // without marking the state; both tiers must take that path identically.
-  const CsrMatrix a = divergent_matrix();
-  McmcOptions opt;
-  opt.walk_cap = 64;
-  check_lane_spec(a, 0.01, test_grid(), lane_seeds(4), opt,
-                  "lane/divergent/alias");
-  McmcOptions cdf = opt;
-  cdf.sampling = SamplingMethod::kInverseCdf;
-  check_lane_spec(a, 0.01, test_grid(), lane_seeds(4), cdf,
-                  "lane/divergent/cdf");
-}
-
-TEST(LaneSpecialisation, MatchesDynamicOnSingleTrial) {
-  // A one-trial grid makes the live template one unit wide, which
-  // dispatches the register-resident single-unit engine inside the spec
-  // tier (the replicate-evaluation shape of the tuning loop).  Pin it
-  // against the dynamic tier at every specialised width, under both
-  // sampling methods, and across the divergence-retirement path.
-  const CsrMatrix a = laplace_2d(8);
-  const std::vector<GridTrial> one = {{0.25, 0.125}};
-  for (std::size_t width : {4u, 8u, 16u}) {
-    check_lane_spec(a, 1.0, one, lane_seeds(width), {}, "lane/single/alias");
-    McmcOptions cdf;
-    cdf.sampling = SamplingMethod::kInverseCdf;
-    check_lane_spec(a, 1.0, one, lane_seeds(width), cdf, "lane/single/cdf");
-  }
-  McmcOptions div_opt;
-  div_opt.walk_cap = 64;
-  check_lane_spec(divergent_matrix(), 0.01, one, lane_seeds(8), div_opt,
-                  "lane/single/divergent");
-}
-
-TEST(LaneSpecialisation, MatchesDynamicWithDuplicateSeeds) {
-  // Duplicate seeds give lanes identical streams: retirement happens on the
-  // same round in every duplicate lane, the adversarial case for the
-  // active-mask bookkeeping.
-  const CsrMatrix a = laplace_2d(8);
-  const std::vector<GridTrial> trials = {{0.25, 0.125}};
-  const std::vector<u64> seeds = {42, 42, 7, 42, 7, 42, 42, 42};
-  check_lane_spec(a, 1.0, trials, seeds, {}, "lane/dup-seeds");
-}
-
-TEST(LaneSpecialisation, DeterministicAcrossThreadCounts) {
-  const CsrMatrix a = pdd_real_sparse(50, 0.15, 51);
-  const std::vector<GridTrial> trials = {{0.25, 0.125}, {0.5, 0.25}};
-  const std::vector<u64> seeds = lane_seeds(4);
-
-  auto build = [&](int threads) {
-#ifdef _OPENMP
-    omp_set_num_threads(threads);
-#else
-    (void)threads;
-#endif
-    return replicate_batched_grid_build(a, 1.0, trials, seeds);
-  };
-
-#ifdef _OPENMP
-  const int saved = omp_get_max_threads();
-#endif
-  const ReplicatedGridResult r1 = build(1);
-  const ReplicatedGridResult r2 = build(2);
-  const ReplicatedGridResult r4 = build(4);
-#ifdef _OPENMP
-  omp_set_num_threads(saved);
-#endif
-
-  for (std::size_t r = 0; r < seeds.size(); ++r) {
-    for (std::size_t t = 0; t < trials.size(); ++t) {
-      expect_equal(r2.replicates[r].preconditioners[t],
-                   r1.replicates[r].preconditioners[t], "lane-2-thread", t);
-      expect_equal(r4.replicates[r].preconditioners[t],
-                   r1.replicates[r].preconditioners[t], "lane-4-thread", t);
-    }
-  }
 }
 
 TEST(BatchedBuild, RejectsBadInputs) {
