@@ -13,7 +13,10 @@
 #include "bo/expected_improvement.hpp"
 #include "bo/lbfgsb.hpp"
 #include "core/rng.hpp"
+#include "dense/matrix.hpp"
+#include "dense/svd.hpp"
 #include "features/matrix_features.hpp"
+#include "gen/adv_diff.hpp"
 #include "gen/laplace.hpp"
 #include "gen/plasma.hpp"
 #include "gnn/stack.hpp"
@@ -701,6 +704,17 @@ void BM_FeatureExtraction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FeatureExtraction);
+
+// BM_FeatureExtraction's a00512 (n = 512) takes the iterative condition
+// estimate; this row times the exact Jacobi SVD path that every n <= 300
+// matrix (here the n = 225 adv-diff system of tune_unseen) goes through.
+void BM_ConditionNumberExact(benchmark::State& state) {
+  const DenseMatrix a = DenseMatrix::from_csr(unsteady_adv_diff_order2());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(condition_number_exact(a));
+  }
+}
+BENCHMARK(BM_ConditionNumberExact)->Unit(benchmark::kMillisecond);
 
 void BM_GnnForward(benchmark::State& state) {
   const gnn::Graph g = gnn::Graph::from_csr(laplace_2d(32));

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "core/rng.hpp"
 #include "dense/lu.hpp"
@@ -127,6 +129,108 @@ TEST(Svd, SingularMatrixReportsInfiniteKappa) {
   a(0, 0) = 1; a(0, 1) = 2;
   a(1, 0) = 2; a(1, 1) = 4;
   EXPECT_TRUE(std::isinf(condition_number_exact(a)));
+
+  // An exactly zero column stays exactly zero under every rotation, so
+  // sigma_min is 0 and kappa is +inf.
+  DenseMatrix z = DenseMatrix::from_csr(pdd_real_sparse(9, 0.4, 5));
+  for (index_t i = 0; i < z.rows(); ++i) z(i, 4) = 0.0;
+  const std::vector<real_t> s = singular_values(z);
+  EXPECT_GT(s.front(), 0.0);
+  EXPECT_EQ(s.back(), 0.0);
+  EXPECT_TRUE(std::isinf(condition_number_exact(z)));
+}
+
+/// Applies plane rotations to rows (k, k + stride) for every row k and a
+/// handful of angles: an orthogonal G with dense mixing, returns G * a.
+DenseMatrix rotate_rows(DenseMatrix a) {
+  const index_t m = a.rows();
+  for (index_t stride = 1; stride < m; stride *= 2) {
+    for (index_t k = 0; k + stride < m; ++k) {
+      const real_t theta = 0.3 + 0.17 * static_cast<real_t>(k % 7) + stride;
+      const real_t c = std::cos(theta);
+      const real_t s = std::sin(theta);
+      for (index_t j = 0; j < a.cols(); ++j) {
+        const real_t u = a(k, j);
+        const real_t v = a(k + stride, j);
+        a(k, j) = c * u - s * v;
+        a(k + stride, j) = s * u + c * v;
+      }
+    }
+  }
+  return a;
+}
+
+TEST(Svd, Laplace2dFullSpectrumMatchesClosedForm) {
+  // laplace_2d(16) (n = 225) is symmetric positive definite with
+  // eigenvalues 4 - 2 cos(i pi / 16) - 2 cos(j pi / 16), i, j = 1..15.
+  const index_t m = 16;
+  std::vector<real_t> expected;
+  for (index_t i = 1; i < m; ++i) {
+    for (index_t j = 1; j < m; ++j) {
+      expected.push_back(4.0 - 2.0 * std::cos(i * M_PI / m) -
+                         2.0 * std::cos(j * M_PI / m));
+    }
+  }
+  std::sort(expected.begin(), expected.end(), std::greater<real_t>());
+  const std::vector<real_t> s =
+      singular_values(DenseMatrix::from_csr(laplace_2d(m)));
+  ASSERT_EQ(s.size(), expected.size());
+  for (std::size_t k = 0; k < s.size(); ++k) {
+    EXPECT_NEAR(s[k], expected[k], 1e-12 * expected[k]) << "k = " << k;
+  }
+}
+
+TEST(Svd, OrthogonalInvariance) {
+  const DenseMatrix a = DenseMatrix::from_csr(pdd_real_sparse(40, 0.2, 3));
+  const std::vector<real_t> s = singular_values(a);
+  const std::vector<real_t> sg = singular_values(rotate_rows(a));
+  ASSERT_EQ(sg.size(), s.size());
+  for (std::size_t k = 0; k < s.size(); ++k) {
+    EXPECT_NEAR(sg[k], s[k], 1e-12 * s[k]) << "k = " << k;
+  }
+}
+
+TEST(Svd, TallInput) {
+  // G * [D; 0] with G orthogonal (m = 23 rows, n = 6 columns) has the
+  // singular values |d_k|.
+  const std::vector<real_t> d = {5.0, -3.5, 2.25, 1.0, -0.5, 0.125};
+  DenseMatrix a(23, static_cast<index_t>(d.size()));
+  for (index_t k = 0; k < a.cols(); ++k) a(k, k) = d[k];
+  const std::vector<real_t> s = singular_values(rotate_rows(a));
+  ASSERT_EQ(s.size(), d.size());
+  for (std::size_t k = 0; k < d.size(); ++k) {
+    EXPECT_NEAR(s[k], std::abs(d[k]), 1e-13 * std::abs(d[k]));
+  }
+  // A wide input is transposed inside condition_number_exact.
+  EXPECT_NEAR(condition_number_exact(rotate_rows(a).transpose()), 40.0,
+              1e-12 * 40.0);
+}
+
+/// Small and odd sizes: laplace_1d(n) has eigenvalues
+/// 2 - 2 cos(k pi / (n + 1)), k = 1..n.
+class SvdSmallSizes : public ::testing::TestWithParam<index_t> {};
+
+TEST_P(SvdSmallSizes, Laplace1dSpectrum) {
+  const index_t n = GetParam();
+  const std::vector<real_t> s =
+      singular_values(DenseMatrix::from_csr(laplace_1d(n)));
+  ASSERT_EQ(static_cast<index_t>(s.size()), n);
+  for (index_t k = 0; k < n; ++k) {
+    const real_t expected = 2.0 - 2.0 * std::cos((n - k) * M_PI / (n + 1));
+    EXPECT_NEAR(s[k], expected, 1e-13 * expected) << "k = " << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, SvdSmallSizes,
+                         ::testing::Values(1, 2, 3, 5, 7, 9, 17));
+
+TEST(Svd, RepeatableBits) {
+  const DenseMatrix a = rotate_rows(
+      DenseMatrix::from_csr(pdd_real_sparse(33, 0.3, 17)));
+  const std::vector<real_t> first = singular_values(a);
+  const std::vector<real_t> second = singular_values(a);
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(condition_number_exact(a), condition_number_exact(a));
 }
 
 /// Property sweep: LU solve residual stays small across sizes.

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "features/matrix_features.hpp"
+#include "gen/adv_diff.hpp"
 #include "gen/laplace.hpp"
 #include "gen/plasma.hpp"
 #include "gen/random_sparse.hpp"
@@ -55,6 +56,16 @@ TEST(Features, ConditionGrowsWithPlasmaResolution) {
   const real_t k_fine =
       estimate_condition_number(plasma_drift_diffusion(fine));
   EXPECT_GT(k_fine, k_coarse);
+}
+
+TEST(Features, ExactLogConditionIsPinned) {
+  // log10 kappa is the surrogate's input for every n <= 300 matrix; these
+  // values come from the exact (Jacobi SVD) path.  A change that moves them
+  // changes what the surrogate sees and must update them deliberately.
+  const real_t adv = extract_features(unsteady_adv_diff_order2()).log_condition;
+  EXPECT_NEAR(adv, 6.8395722590614083, 1e-12 * 6.8395722590614083);
+  const real_t lap = extract_features(laplace_2d(16)).log_condition;
+  EXPECT_NEAR(lap, 2.0132033489027763, 1e-12 * 2.0132033489027763);
 }
 
 TEST(Features, LogConditionSaturatesForSingular) {
