@@ -225,41 +225,6 @@ void BM_CgIterationPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_CgIterationPlan)->Unit(benchmark::kMillisecond);
 
-// The fused-recurrence CG iteration: the descent step (A q, <q,Aq>, x/r
-// update) and the preconditioner tail (P r, <r,z>, ||z||^2, q recurrence)
-// each collapse into one parallel region via multiply_dot_axpy2 /
-// multiply_dot_norm2_xpby — two operator visits per iteration, zero
-// standalone vector sweeps.  Same system, same 50 iterations, identical
-// items as BM_CgIterationPlan.  The gated pair pins fusion at parity-or-
-// better: single-core the iteration is bandwidth-bound and the phases are
-// additive, so the measured win is ~1%; the fork/join and partial-sum
-// locality savings only open up with real thread counts.  The gate exists
-// so the fused path can never silently become *slower* than the composed
-// PR 2 loop it replaced in cg.cpp.
-void BM_CgIterationFusedRecurrence(benchmark::State& state) {
-  const CsrMatrix& a = cg_bench_matrix();
-  const CsrMatrix& pm = cg_bench_precond();
-  const std::vector<real_t> b(static_cast<std::size_t>(a.rows()), 1.0);
-  std::vector<real_t> x, r, z, q, aq;
-  for (auto _ : state) {
-    x.assign(b.size(), 0.0);
-    r = b;
-    real_t rho, norm_sq;
-    pm.multiply_dot_norm2(r, z, r, rho, norm_sq);
-    q = z;
-    for (index_t it = 0; it < kCgBenchIters; ++it) {
-      benchmark::DoNotOptimize(a.multiply_dot_axpy2(q, rho, aq, x, r));
-      real_t rho_next;
-      pm.multiply_dot_norm2_xpby(r, z, r, rho, q, rho_next, norm_sq);
-      benchmark::DoNotOptimize(norm_sq);
-      rho = rho_next;
-    }
-    benchmark::DoNotOptimize(x.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kCgBenchIters);
-}
-BENCHMARK(BM_CgIterationFusedRecurrence)->Unit(benchmark::kMillisecond);
-
 // Args: {grid side, 1/eps, sampling method}.  The {128, 16} rows are the
 // acceptance benchmark of the alias rewrite: a 128x128 2-D Laplace build at
 // eps = 1/16 with the alias path (method 0) versus the pre-PR binary-search

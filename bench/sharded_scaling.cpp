@@ -77,7 +77,7 @@ CsrMatrix bound_matrix(index_t shards, double* work_imbalance) {
   const double fair =
       static_cast<double>(a.nnz()) / static_cast<double>(shards);
   *work_imbalance = static_cast<double>(max_nnz) / fair;
-  a.set_plan_backend(PlanBackend::kShardedThreads, layout);
+  a.set_shard_layout(layout);
   return a;
 }
 

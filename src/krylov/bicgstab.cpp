@@ -101,9 +101,9 @@ SolveResult solve_bicgstab(const CsrMatrix& a, const std::vector<real_t>& b,
       result.status = SolveStatus::kBreakdown;
       return result;
     }
-    // x += alpha p + omega s and r = s - omega t with ||r|| — the two
-    // solution/residual sweeps of the half-step in one fused pass.
-    rel = axpy_pair_sub_norm(alpha, pvec, omega, s, t, x, r) / norm_pb;
+    axpy_pair(alpha, pvec, omega, s, x);  // x += alpha p + omega s
+    // r = s - omega t with its norm in one pass.
+    rel = sub_scaled_norm(s, omega, t, r) / norm_pb;
     result.residual = rel;
     if (opt.record_history) result.history.push_back(rel);
     if (rel < opt.tolerance) {

@@ -40,12 +40,7 @@ SolveResult solve_cg(const CsrMatrix& a, const std::vector<real_t>& b,
       result.status = stop_reason(*opt.cancel);
       return result;
     }
-    // aq = A q, qaq = <q, aq>, and — when qaq passes the validity guards
-    // below — x += (rho/qaq) q, r -= (rho/qaq) aq, all in one parallel
-    // region.  The fused kernel applies the update exactly when qaq is
-    // finite and positive, so on every early return below x and r hold the
-    // same bits the unfused sequence would have left.
-    const real_t qaq = a.multiply_dot_axpy2(q, rho, aq, x, r);
+    const real_t qaq = a.multiply_dot(q, aq);  // aq = A q and <q, aq> fused
     // alpha = rho / qaq: a non-finite denominator means overflow/NaN entered
     // the iteration, zero is an exact breakdown, and a negative value means
     // the operator is not positive definite — report each distinctly.
@@ -61,13 +56,10 @@ SolveResult solve_cg(const CsrMatrix& a, const std::vector<real_t>& b,
       result.status = SolveStatus::kDiverged;
       return result;
     }
-    // z = P r with <r, z> / ||z||^2 and the recurrence
-    // q = z + (rho_next/rho) q fused into the apply.  The q update moves
-    // ahead of the convergence checks relative to the unfused loop, which
-    // is observationally identical: on every returning branch below q is
-    // dead state.
+    const real_t alpha = rho / qaq;
+    axpy2(alpha, q, aq, x, r);  // x += alpha q, r -= alpha aq, one pass
     real_t rho_next, norm_z_sq;
-    p.apply_xpby_dot(r, z, r, rho, q, rho_next, norm_z_sq);
+    p.apply_dot_norm2(r, z, r, rho_next, norm_z_sq);  // z = P r, <r,z>, ||z||^2
     result.iterations = it + 1;
     const real_t rel = std::sqrt(norm_z_sq) / norm_pb;
     result.residual = rel;
@@ -84,7 +76,9 @@ SolveResult solve_cg(const CsrMatrix& a, const std::vector<real_t>& b,
       result.status = SolveStatus::kStagnation;
       return result;
     }
+    const real_t beta = rho_next / rho;
     rho = rho_next;
+    xpby(z, beta, q);  // q = z + beta q
   }
   result.status = SolveStatus::kMaxIterations;
   return result;

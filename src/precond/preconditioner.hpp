@@ -42,24 +42,6 @@ class Preconditioner {
     dot_dot(y, w, y, dot_wy, norm_sq_y);
   }
 
-  /// Fused apply + CG search-direction recurrence: z = P x with <w, z> and
-  /// ||z||^2 from the product pass, then beta = <w, z> / rho_prev and
-  /// q = z + beta * q.  CG calls it with x = w = r so the whole
-  /// preconditioner tail of an iteration — apply, rho, stagnation norm and
-  /// the q update — is one operator visit.  The default composes
-  /// apply_dot_norm2() with the vector_ops xpby; one-SpMV implementations
-  /// override it so the recurrence shares the product's parallel region.
-  /// Both forms are bit-identical (the update is elementwise; only the
-  /// reduction has an order and it is the apply_dot_norm2 tree either way).
-  virtual void apply_xpby_dot(const std::vector<real_t>& x,
-                              std::vector<real_t>& z,
-                              const std::vector<real_t>& w, real_t rho_prev,
-                              std::vector<real_t>& q, real_t& dot_wz,
-                              real_t& norm_sq_z) const {
-    apply_dot_norm2(x, z, w, dot_wz, norm_sq_z);
-    xpby(z, dot_wz / rho_prev, q);
-  }
-
   /// Descriptive name for logging/tables.
   [[nodiscard]] virtual std::string name() const = 0;
 

@@ -39,25 +39,18 @@ class SparseApproximateInverse final : public Preconditioner {
     p_.multiply_dot_norm2(x, y, w, dot_wy, norm_sq_y);
   }
 
-  void apply_xpby_dot(const std::vector<real_t>& x, std::vector<real_t>& z,
-                      const std::vector<real_t>& w, real_t rho_prev,
-                      std::vector<real_t>& q, real_t& dot_wz,
-                      real_t& norm_sq_z) const override {
-    p_.multiply_dot_norm2_xpby(x, z, w, rho_prev, q, dot_wz, norm_sq_z);
-  }
-
   [[nodiscard]] std::string name() const override { return name_; }
 
   /// The explicit approximate inverse (inspection / spectra in tests).
   [[nodiscard]] const CsrMatrix& matrix() const { return p_; }
 
-  /// Route P's own products through `backend` (see
-  /// CsrMatrix::set_plan_backend): the sharded serving path sets this once
+  /// Run P's own products under `layout` (see
+  /// CsrMatrix::set_shard_layout): the sharded serving path sets this once
   /// at swap-in so warm solves shard the preconditioner apply alongside
   /// the operator.  Const for the same reason the CsrMatrix call is —
   /// execution policy, not content.
-  void set_plan_backend(PlanBackend backend, ShardLayout layout = {}) const {
-    p_.set_plan_backend(backend, std::move(layout));
+  void set_shard_layout(ShardLayout layout) const {
+    p_.set_shard_layout(std::move(layout));
   }
 
  private:

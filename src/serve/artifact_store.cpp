@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/error.hpp"
-#include "core/hash.hpp"
 #include "solve/fault_injection.hpp"
 
 namespace mcmi::serve {
@@ -29,12 +28,9 @@ ArtifactEntry::ArtifactEntry(u64 fingerprint,
 }
 
 std::shared_ptr<const CsrMatrix> ArtifactEntry::matrix_for(
-    PlanBackend backend, const ShardLayout& layout) {
-  if (backend == PlanBackend::kSingle && layout.empty()) return matrix_;
-  Hash64 key_hash(0x706c6b79ULL);  // "plky"
-  key_hash.update(static_cast<u64>(backend));
-  key_hash.update(layout.fingerprint());
-  const u64 key = key_hash.digest();
+    const ShardLayout& layout) {
+  if (layout.empty()) return matrix_;
+  const u64 key = layout.fingerprint();
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = bound_matrices_.find(key);
   if (it != bound_matrices_.end()) return it->second;
@@ -42,7 +38,7 @@ std::shared_ptr<const CsrMatrix> ArtifactEntry::matrix_for(
   // is exactly what coalesces concurrent requests for one layout onto a
   // single build.
   auto bound = std::make_shared<CsrMatrix>(*matrix_);
-  bound->set_plan_backend(backend, layout);
+  bound->set_shard_layout(layout);
   ++plan_builds_;
   bound_matrices_.emplace(key, bound);
   return bound;

@@ -97,19 +97,18 @@ class ArtifactEntry {
     return kernels_;
   }
 
-  /// The pinned matrix bound to an execution backend, cached per
-  /// (backend, layout fingerprint) — the `(fingerprint, shard_layout)`
-  /// key that lets warm serving survive a layout change: an artifact
-  /// built under layout A serves under layout B from the same entry, each
-  /// layout's execution built exactly once.  Concurrent callers for one
-  /// layout coalesce onto a single build (the entry mutex is held across
-  /// it; plan construction is O(nnz) and never calls back into the
-  /// store).  kSingle with an empty layout returns the pinned matrix
-  /// itself.
+  /// The pinned matrix bound to a sharded plan under `layout`, cached per
+  /// layout fingerprint — the `(fingerprint, shard_layout)` key that lets
+  /// warm serving survive a layout change: an artifact built under layout
+  /// A serves under layout B from the same entry, each layout's plan built
+  /// exactly once.  Concurrent callers for one layout coalesce onto a
+  /// single build (the entry mutex is held across it; plan construction is
+  /// O(nnz) and never calls back into the store).  The empty layout
+  /// returns the pinned matrix itself.
   [[nodiscard]] std::shared_ptr<const CsrMatrix> matrix_for(
-      PlanBackend backend, const ShardLayout& layout);
+      const ShardLayout& layout);
 
-  /// Backend-bound matrix builds performed so far (the coalescing tests'
+  /// Layout-bound matrix builds performed so far (the coalescing tests'
   /// double-build detector).
   [[nodiscard]] u64 plan_builds() const;
 
@@ -172,7 +171,7 @@ class ArtifactEntry {
   BuildStatus failure_cause_ = BuildStatus::kBuilt;
   index_t build_failures_ = 0;
   clock::time_point cooldown_until_{};
-  /// (backend, layout fingerprint) -> pinned matrix with that execution
+  /// layout fingerprint -> pinned matrix with that layout's sharded plan
   /// bound (guarded by mutex_).  The copies share the row/col/value
   /// arrays' content and the lazy single-plan cache with matrix_; only
   /// the execution policy differs.

@@ -174,12 +174,12 @@ struct ServiceOptions {
   McmcParams mcmc_params{};              ///< build params (tuner fallback)
   McmcOptions mcmc_options{};            ///< sampler knobs for the build
   /// Row shards for served solves: > 0 routes the operator — and the tuned
-  /// preconditioner, bound once at swap-in — through the kShardedThreads
-  /// backend with an nnz-balanced layout of this many shards, cached in
-  /// the entry under the (fingerprint, shard_layout) key.  0 keeps the
-  /// single-plan backend.  Answers are bit-identical either way (the
-  /// sharded reducer folds the single plan's own chunk grid), so a warm
-  /// artifact built under one layout serves under any other.
+  /// preconditioner, bound once at swap-in — through a sharded plan with
+  /// an nnz-balanced layout of this many shards, cached in the entry under
+  /// the (fingerprint, shard_layout) key.  0 keeps the single plan.
+  /// Answers are bit-identical either way (the sharded reducer folds the
+  /// single plan's own chunk grid), so a warm artifact built under one
+  /// layout serves under any other.
   index_t solve_shards = 0;
   /// Wall-clock budget for one background build + tune: the deadline on
   /// the build's own CancelToken, so a runaway tuner or build abandons

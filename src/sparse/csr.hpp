@@ -101,48 +101,23 @@ class CsrMatrix {
                           const std::vector<real_t>& w, real_t& dot_wy,
                           real_t& norm_sq_y) const;
 
-  /// Fused preconditioned-CG tail: z = A * x with <w, z> / ||z||^2, then
-  /// q = z + (<w, z> / rho_prev) * q — one parallel region on the default
-  /// plan path, composed product + xpby under a backend execution.  Either
-  /// way bit-identical to multiply_dot_norm2 followed by vector_ops xpby.
-  void multiply_dot_norm2_xpby(const std::vector<real_t>& x,
-                               std::vector<real_t>& z,
-                               const std::vector<real_t>& w, real_t rho_prev,
-                               std::vector<real_t>& q, real_t& dot_wz,
-                               real_t& norm_sq_z) const;
-
-  /// Fused CG descent step: aq = A * q returning qaq = <q, aq>, and — only
-  /// when qaq is finite and positive — x += (rho/qaq) * q,
-  /// r -= (rho/qaq) * aq in the same parallel region.  On an invalid qaq
-  /// x and r are untouched, so callers keep their existing breakdown /
-  /// divergence handling.  Bit-identical to multiply_dot + axpy2.
-  [[nodiscard]] real_t multiply_dot_axpy2(const std::vector<real_t>& q,
-                                          real_t rho, std::vector<real_t>& aq,
-                                          std::vector<real_t>& x,
-                                          std::vector<real_t>& r) const;
-
   /// The cached execution plan (shape-derived, built on first use and then
   /// shared by every product for the life of the matrix).
   [[nodiscard]] const SpmvPlan& spmv_plan() const;
 
-  /// Select the execution backend for every subsequent product.  The
-  /// execution is built *eagerly* through the PlanBackendRegistry and
-  /// published atomically, so no consumer can observe a stale
-  /// single-backend plan after the switch (the lazily cached spmv_plan()
-  /// is keyed only by content and knows nothing about backends).
-  /// kSingle reverts to the default cached-plan path; other backends
-  /// require the registry slot to be claimed (kAccelerator aborts until a
-  /// device backend registers).  Const: this is execution *policy*, not
-  /// matrix content — same contract as the lazy plan caches, and copies
-  /// taken after the call inherit the backend.
-  void set_plan_backend(PlanBackend backend, ShardLayout layout = {}) const;
+  /// Bind every subsequent product to a ShardedPlan over `layout`.  The
+  /// plan is built *eagerly* and published atomically, so no consumer can
+  /// observe a stale single plan after the switch (the lazily cached
+  /// spmv_plan() is keyed only by content and knows nothing about shards).
+  /// An empty layout reverts to the cached single plan.  Const: this is
+  /// execution *policy*, not matrix content — same contract as the lazy
+  /// plan caches, and copies taken after the call inherit the layout.
+  void set_shard_layout(ShardLayout layout) const;
 
-  /// The backend products currently dispatch to (kSingle when none set).
-  [[nodiscard]] PlanBackend plan_backend() const;
-
-  /// The bound execution, or null on the default single-plan path.
-  [[nodiscard]] std::shared_ptr<const PlanExecution> plan_execution() const {
-    return std::atomic_load(&exec_);
+  /// The bound sharded plan, or null when products run the cached single
+  /// plan.
+  [[nodiscard]] std::shared_ptr<const ShardedPlan> sharded_plan() const {
+    return std::atomic_load(&sharded_);
   }
 
   /// y = A^T * x via a lazily cached column-major gather plan
@@ -233,11 +208,11 @@ class CsrMatrix {
   /// once published a cache is never replaced.
   mutable std::shared_ptr<const SpmvPlan> plan_;
   mutable std::shared_ptr<const TransposeGather> tgather_;
-  /// Selected execution backend (null = default single-plan path).  Unlike
-  /// the caches above this *is* replaced — set_plan_backend publishes a
-  /// freshly built execution atomically — so products always pair a
-  /// backend with the layout it was built for, never a stale mix.
-  mutable std::shared_ptr<const PlanExecution> exec_;
+  /// Bound sharded plan (null = the cached single plan).  Unlike the caches
+  /// above this *is* replaced — set_shard_layout publishes a freshly built
+  /// plan atomically — so products always pair a plan with the layout it
+  /// was built for, never a stale mix.
+  mutable std::shared_ptr<const ShardedPlan> sharded_;
 };
 
 }  // namespace mcmi

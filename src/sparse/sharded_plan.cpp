@@ -7,15 +7,6 @@
 
 namespace mcmi {
 
-const char* to_string(PlanBackend backend) {
-  switch (backend) {
-    case PlanBackend::kSingle: return "single";
-    case PlanBackend::kShardedThreads: return "sharded-threads";
-    case PlanBackend::kAccelerator: return "accelerator";
-  }
-  return "unknown";
-}
-
 // ---------------------------------------------------------------------------
 // ShardLayout
 
@@ -232,19 +223,13 @@ ShardedPlan ShardedPlan::build(index_t rows, index_t cols,
   }
   // The reduction grid is the *full* matrix's chunk decomposition — shared
   // with the single plan so both paths fold the same blocks in the same
-  // order (bit-identical fused results across backends).
+  // order (bit-identical fused results with or without shards).
   plan.reducer_ = ShardReducer(SpmvPlan::chunk_boundaries(rows, row_ptr));
   return plan;
 }
 
-index_t ShardedPlan::shard_nnz(index_t s) const {
-  const Shard& shard = shards_[static_cast<std::size_t>(s)];
-  return shard.local_row_ptr.back();
-}
-
-void ShardedPlan::multiply(const index_t* /*row_ptr*/, const index_t* col_idx,
-                           const real_t* values, const real_t* x,
-                           real_t* y) const {
+void ShardedPlan::multiply(const index_t* col_idx, const real_t* values,
+                           const real_t* x, real_t* y) const {
   const index_t ni = static_cast<index_t>(items_.size());
 #pragma omp parallel for schedule(static) if (ni > 1)
   for (index_t i = 0; i < ni; ++i) {
@@ -257,146 +242,23 @@ void ShardedPlan::multiply(const index_t* /*row_ptr*/, const index_t* col_idx,
   }
 }
 
-void ShardedPlan::run_fused(const index_t* col_idx, const real_t* values,
-                            const real_t* x, const real_t* w, real_t* y,
-                            bool with_norm, real_t& dot_wy,
-                            real_t& norm_sq_y) const {
-  multiply(nullptr, col_idx, values, x, y);
-  reducer_.reduce(layout_, w, y, with_norm, dot_wy, norm_sq_y);
-}
-
-real_t ShardedPlan::multiply_dot(const index_t* /*row_ptr*/,
-                                 const index_t* col_idx, const real_t* values,
+real_t ShardedPlan::multiply_dot(const index_t* col_idx, const real_t* values,
                                  const real_t* x, const real_t* w,
                                  real_t* y) const {
+  multiply(col_idx, values, x, y);
   real_t dot_wy = 0.0;
   real_t unused = 0.0;
-  run_fused(col_idx, values, x, w, y, false, dot_wy, unused);
+  reducer_.reduce(layout_, w, y, false, dot_wy, unused);
   return dot_wy;
 }
 
-void ShardedPlan::multiply_dot_norm2(const index_t* /*row_ptr*/,
-                                     const index_t* col_idx,
+void ShardedPlan::multiply_dot_norm2(const index_t* col_idx,
                                      const real_t* values, const real_t* x,
                                      const real_t* w, real_t* y,
                                      real_t& dot_wy,
                                      real_t& norm_sq_y) const {
-  run_fused(col_idx, values, x, w, y, true, dot_wy, norm_sq_y);
-}
-
-// ---------------------------------------------------------------------------
-// PlanBackendRegistry
-
-namespace {
-
-/// The default backend as a PlanExecution: one SpmvPlan over the whole
-/// matrix (what CsrMatrix runs implicitly when no backend is selected).
-class SinglePlanExecution final : public PlanExecution {
- public:
-  SinglePlanExecution(index_t rows, index_t cols,
-                      const std::vector<index_t>& row_ptr,
-                      const std::vector<index_t>& col_idx)
-      : plan_(SpmvPlan::build(rows, cols, row_ptr, col_idx)) {}
-
-  [[nodiscard]] PlanBackend backend() const override {
-    return PlanBackend::kSingle;
-  }
-  [[nodiscard]] const ShardLayout& layout() const override { return layout_; }
-
-  void multiply(const index_t* row_ptr, const index_t* col_idx,
-                const real_t* values, const real_t* x,
-                real_t* y) const override {
-    plan_.multiply(row_ptr, col_idx, values, x, y);
-  }
-  [[nodiscard]] real_t multiply_dot(const index_t* row_ptr,
-                                    const index_t* col_idx,
-                                    const real_t* values, const real_t* x,
-                                    const real_t* w,
-                                    real_t* y) const override {
-    return plan_.multiply_dot(row_ptr, col_idx, values, x, w, y);
-  }
-  void multiply_dot_norm2(const index_t* row_ptr, const index_t* col_idx,
-                          const real_t* values, const real_t* x,
-                          const real_t* w, real_t* y, real_t& dot_wy,
-                          real_t& norm_sq_y) const override {
-    plan_.multiply_dot_norm2(row_ptr, col_idx, values, x, w, y, dot_wy,
-                             norm_sq_y);
-  }
-
- private:
-  SpmvPlan plan_;
-  ShardLayout layout_;  // empty: no partition
-};
-
-int slot_of(PlanBackend backend) {
-  const int slot = static_cast<int>(backend);
-  MCMI_CHECK(slot >= 0 && slot < 3, "unknown plan backend " << slot);
-  return slot;
-}
-
-}  // namespace
-
-PlanBackendRegistry::PlanBackendRegistry() {
-  factories_[slot_of(PlanBackend::kSingle)] =
-      [](index_t rows, index_t cols, const std::vector<index_t>& row_ptr,
-         const std::vector<index_t>& col_idx,
-         const ShardLayout& /*layout*/) -> std::unique_ptr<PlanExecution> {
-    return std::make_unique<SinglePlanExecution>(rows, cols, row_ptr,
-                                                 col_idx);
-  };
-  factories_[slot_of(PlanBackend::kShardedThreads)] =
-      [](index_t rows, index_t cols, const std::vector<index_t>& row_ptr,
-         const std::vector<index_t>& col_idx,
-         const ShardLayout& layout) -> std::unique_ptr<PlanExecution> {
-    return std::make_unique<ShardedPlan>(
-        ShardedPlan::build(rows, cols, row_ptr, col_idx, layout));
-  };
-  // kAccelerator stays empty: the stubbed slot a device backend (or a test
-  // mock) claims via register_backend.
-}
-
-PlanBackendRegistry& PlanBackendRegistry::instance() {
-  static PlanBackendRegistry registry;
-  return registry;
-}
-
-void PlanBackendRegistry::register_backend(PlanBackend backend,
-                                           PlanExecutionFactory factory) {
-  MCMI_CHECK(factory != nullptr, "null factory for plan backend "
-                                     << to_string(backend));
-  const int slot = slot_of(backend);
-  std::lock_guard<std::mutex> lock(mutex_);
-  factories_[slot] = std::move(factory);
-}
-
-void PlanBackendRegistry::unregister_backend(PlanBackend backend) {
-  MCMI_CHECK(backend == PlanBackend::kAccelerator,
-             "built-in plan backend " << to_string(backend)
-                                      << " may not be unregistered");
-  std::lock_guard<std::mutex> lock(mutex_);
-  factories_[slot_of(backend)] = nullptr;
-}
-
-bool PlanBackendRegistry::available(PlanBackend backend) const {
-  const int slot = slot_of(backend);
-  std::lock_guard<std::mutex> lock(mutex_);
-  return factories_[slot] != nullptr;
-}
-
-std::unique_ptr<PlanExecution> PlanBackendRegistry::create(
-    PlanBackend backend, index_t rows, index_t cols,
-    const std::vector<index_t>& row_ptr, const std::vector<index_t>& col_idx,
-    const ShardLayout& layout) const {
-  PlanExecutionFactory factory;
-  {
-    const int slot = slot_of(backend);
-    std::lock_guard<std::mutex> lock(mutex_);
-    factory = factories_[slot];
-  }
-  MCMI_CHECK(factory != nullptr,
-             "plan backend " << to_string(backend)
-                             << " unavailable (no registered factory)");
-  return factory(rows, cols, row_ptr, col_idx, layout);
+  multiply(col_idx, values, x, y);
+  reducer_.reduce(layout_, w, y, true, dot_wy, norm_sq_y);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,20 +1,17 @@
 #pragma once
 /// @file sharded_plan.hpp
-/// @brief Sharded SpMV execution behind the SpmvPlan seam: nnz-balanced row
-/// shards, a fixed-order ShardReducer for dots and norms, and the
-/// PlanBackend registry that makes a GPU/accelerator backend a drop-in
-/// third implementation.
+/// @brief Sharded SpMV execution beside the single SpmvPlan: nnz-balanced
+/// row shards and a fixed-order ShardReducer for dots and norms.
 ///
 /// A ShardedPlan partitions the rows of one matrix into contiguous,
 /// nnz-balanced shards; each shard owns a per-shard SpmvPlan built over its
 /// row slice (rebased row pointers, the shard's own 32-bit column
-/// re-encoding).  Shards model the unit of placement — today every shard
-/// runs on the host thread pool, later shards map to devices — so the
+/// re-encoding).  Every shard runs on the host thread pool, and the
 /// execution layer never assumes shard count == thread count: the plain
 /// product flattens (shard, chunk) work items into one schedule, keeping
 /// every core busy even when shards are few.
 ///
-/// Determinism contract (the asset PRs 1–5 established):
+/// Determinism contract:
 ///
 ///  * SpMV: every row's sum is accumulated in column order, so y is
 ///    bit-identical to the single-plan path for ANY shard layout.
@@ -31,18 +28,11 @@
 ///    grid and per-block accumulation reproduce the single plan's fused
 ///    chunk reduction exactly, bit-identical to the unsharded path too.
 ///
-/// Backend dispatch: PlanBackend names an execution strategy, a
-/// PlanExecution is one matrix's bound instance of it, and the
-/// PlanBackendRegistry maps enum -> factory.  kSingle and kShardedThreads
-/// are registered at startup; kAccelerator is a stubbed slot — tests
-/// register a mock to pin the dispatch contract, and a real device backend
-/// (Lebedev et al., "Advanced Accelerator Architectures") registers there
-/// without touching any call site.
+/// Dispatch: a CsrMatrix either holds a ShardedPlan (bound with
+/// CsrMatrix::set_shard_layout) or runs its cached single SpmvPlan; the
+/// shard layout alone decides which.
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -50,16 +40,6 @@
 #include "sparse/spmv_plan.hpp"
 
 namespace mcmi {
-
-/// Execution strategy behind CsrMatrix products.
-enum class PlanBackend {
-  kSingle = 0,          ///< one SpmvPlan over the whole matrix (default)
-  kShardedThreads = 1,  ///< nnz-balanced row shards on the host thread pool
-  kAccelerator = 2,     ///< device backend slot (stubbed; registry-gated)
-};
-
-/// Human-readable backend name ("single", "sharded-threads", ...).
-const char* to_string(PlanBackend backend);
 
 /// Contiguous row partition of an n-row matrix: shard s owns rows
 /// [boundaries[s], boundaries[s+1]).  Degenerate shards (empty, one row,
@@ -151,41 +131,13 @@ class ShardReducer {
   std::vector<index_t> block_rows_;
 };
 
-/// One matrix's bound execution backend: the abstract seam CsrMatrix
-/// products dispatch through.  Implementations read the CSR arrays passed
-/// per call (values may change in place; the shape must match the build).
-class PlanExecution {
- public:
-  virtual ~PlanExecution() = default;
-
-  /// The strategy this execution implements.
-  [[nodiscard]] virtual PlanBackend backend() const = 0;
-  /// The row partition the execution was built for (empty for kSingle).
-  [[nodiscard]] virtual const ShardLayout& layout() const = 0;
-
-  /// y = A x.  Writes every y[i].
-  virtual void multiply(const index_t* row_ptr, const index_t* col_idx,
-                        const real_t* values, const real_t* x,
-                        real_t* y) const = 0;
-  /// y = A x returning <w, y> from the same dispatch.
-  [[nodiscard]] virtual real_t multiply_dot(const index_t* row_ptr,
-                                            const index_t* col_idx,
-                                            const real_t* values,
-                                            const real_t* x, const real_t* w,
-                                            real_t* y) const = 0;
-  /// y = A x with <w, y> and <y, y>.
-  virtual void multiply_dot_norm2(const index_t* row_ptr,
-                                  const index_t* col_idx,
-                                  const real_t* values, const real_t* x,
-                                  const real_t* w, real_t* y, real_t& dot_wy,
-                                  real_t& norm_sq_y) const = 0;
-};
-
 /// Sharded host execution: per-shard SpmvPlans over nnz-balanced row
 /// slices, (shard, chunk) work items flattened into one parallel schedule,
 /// and a ShardReducer over the full matrix's chunk grid for the fused
-/// reductions.
-class ShardedPlan final : public PlanExecution {
+/// reductions.  The products read the CSR arrays passed per call (values
+/// may change in place; the shape must match the build) and mirror the
+/// SpmvPlan entries, minus the row pointers the shards keep rebased.
+class ShardedPlan {
  public:
   /// Build for the CSR shape (row_ptr, col_idx) under `layout` (validated
   /// against `rows`; an empty layout becomes one shard).
@@ -194,30 +146,25 @@ class ShardedPlan final : public PlanExecution {
                            const std::vector<index_t>& col_idx,
                            ShardLayout layout);
 
-  [[nodiscard]] PlanBackend backend() const override {
-    return PlanBackend::kShardedThreads;
-  }
-  [[nodiscard]] const ShardLayout& layout() const override { return layout_; }
+  /// The row partition the plan was built for.
+  [[nodiscard]] const ShardLayout& layout() const { return layout_; }
   [[nodiscard]] index_t num_shards() const {
     return static_cast<index_t>(shards_.size());
   }
-  /// Stored nonzeros of shard s (work-balance inspection / bench counters).
-  [[nodiscard]] index_t shard_nnz(index_t s) const;
   /// The reducer (tests pin its grid against the single plan's chunks).
   [[nodiscard]] const ShardReducer& reducer() const { return reducer_; }
 
-  void multiply(const index_t* row_ptr, const index_t* col_idx,
-                const real_t* values, const real_t* x,
-                real_t* y) const override;
-  [[nodiscard]] real_t multiply_dot(const index_t* row_ptr,
-                                    const index_t* col_idx,
+  /// y = A x.  Writes every y[i].
+  void multiply(const index_t* col_idx, const real_t* values, const real_t* x,
+                real_t* y) const;
+  /// y = A x returning <w, y>.
+  [[nodiscard]] real_t multiply_dot(const index_t* col_idx,
                                     const real_t* values, const real_t* x,
-                                    const real_t* w,
-                                    real_t* y) const override;
-  void multiply_dot_norm2(const index_t* row_ptr, const index_t* col_idx,
-                          const real_t* values, const real_t* x,
-                          const real_t* w, real_t* y, real_t& dot_wy,
-                          real_t& norm_sq_y) const override;
+                                    const real_t* w, real_t* y) const;
+  /// y = A x with <w, y> and <y, y>.
+  void multiply_dot_norm2(const index_t* col_idx, const real_t* values,
+                          const real_t* x, const real_t* w, real_t* y,
+                          real_t& dot_wy, real_t& norm_sq_y) const;
 
  private:
   /// One shard's slice: global row/nnz base plus a rebased row-pointer copy
@@ -230,50 +177,11 @@ class ShardedPlan final : public PlanExecution {
     SpmvPlan plan;
   };
 
-  void run_fused(const index_t* col_idx, const real_t* values,
-                 const real_t* x, const real_t* w, real_t* y, bool with_norm,
-                 real_t& dot_wy, real_t& norm_sq_y) const;
-
   ShardLayout layout_;
   std::vector<Shard> shards_;
   /// Flattened (shard, chunk) schedule: shard count never caps parallelism.
   std::vector<std::pair<index_t, index_t>> items_;
   ShardReducer reducer_;
-};
-
-/// Factory bound into the registry: builds one matrix's execution for a
-/// backend.  `layout` is the requested partition (may be empty).
-using PlanExecutionFactory = std::function<std::unique_ptr<PlanExecution>(
-    index_t rows, index_t cols, const std::vector<index_t>& row_ptr,
-    const std::vector<index_t>& col_idx, const ShardLayout& layout)>;
-
-/// Process-wide PlanBackend -> factory table.  kSingle and
-/// kShardedThreads are registered at construction; kAccelerator starts
-/// unregistered (the stubbed slot) so requesting it reports "backend
-/// unavailable" instead of silently falling back — tests register a mock
-/// there to interface-test the dispatch, and a real device backend later
-/// claims the slot the same way.  Thread-safe.
-class PlanBackendRegistry {
- public:
-  static PlanBackendRegistry& instance();
-
-  /// Claim (or replace) a backend slot.
-  void register_backend(PlanBackend backend, PlanExecutionFactory factory);
-  /// Release a slot (tests restore the stub after mocking); built-in
-  /// backends may not be unregistered.
-  void unregister_backend(PlanBackend backend);
-  /// True when the backend has a bound factory.
-  [[nodiscard]] bool available(PlanBackend backend) const;
-  /// Build one matrix's execution; aborts when the backend is unavailable.
-  [[nodiscard]] std::unique_ptr<PlanExecution> create(
-      PlanBackend backend, index_t rows, index_t cols,
-      const std::vector<index_t>& row_ptr,
-      const std::vector<index_t>& col_idx, const ShardLayout& layout) const;
-
- private:
-  PlanBackendRegistry();
-  mutable std::mutex mutex_;
-  PlanExecutionFactory factories_[3];
 };
 
 /// Shard-grouped row schedule: the intersections of `layout`'s shards with

@@ -1,7 +1,6 @@
 #include "sparse/spmv_plan.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 namespace mcmi {
@@ -222,102 +221,6 @@ void run_multiply_fused(const std::vector<index_t>& chunk_rows,
   norm_sq_y = yy;
 }
 
-/// Fused CG tail runner: product + reductions, then beta = <w, z> /
-/// rho_prev, then q = z + beta * q — one parallel region end to end.  The
-/// `single` block reduces the chunk partials in fixed chunk order (exactly
-/// run_multiply_fused's combination tree) and its closing barrier publishes
-/// beta to every thread before the second worksharing loop; the q-update is
-/// elementwise, so running it over the chunk grid instead of the
-/// vector_ops block grid cannot change any bit.
-template <typename ColT>
-void run_fused_xpby(const std::vector<index_t>& chunk_rows,
-                    const std::vector<std::int8_t>& chunk_width,
-                    const index_t* rp, const ColT* ci, const real_t* v,
-                    const real_t* x, const real_t* w, real_t* z,
-                    real_t rho_prev, real_t* q, real_t& dot_wz,
-                    real_t& norm_sq_z) {
-  const index_t nc = static_cast<index_t>(chunk_rows.size()) - 1;
-  std::vector<real_t> part_wz(static_cast<std::size_t>(nc), 0.0);
-  std::vector<real_t> part_zz(static_cast<std::size_t>(nc), 0.0);
-  real_t wz = 0.0;
-  real_t zz = 0.0;
-  real_t beta = 0.0;
-#pragma omp parallel if (nc > 1)
-  {
-#pragma omp for schedule(static)
-    for (index_t c = 0; c < nc; ++c) {
-      chunk_multiply_fused<true>(chunk_rows[c], chunk_rows[c + 1],
-                                 chunk_width[c], rp, ci, v, x, w, z,
-                                 part_wz[static_cast<std::size_t>(c)],
-                                 part_zz[static_cast<std::size_t>(c)]);
-    }
-#pragma omp single
-    {
-      for (index_t c = 0; c < nc; ++c) {
-        wz += part_wz[static_cast<std::size_t>(c)];
-        zz += part_zz[static_cast<std::size_t>(c)];
-      }
-      beta = wz / rho_prev;
-    }
-#pragma omp for schedule(static)
-    for (index_t c = 0; c < nc; ++c) {
-      for (index_t i = chunk_rows[c]; i < chunk_rows[c + 1]; ++i) {
-        q[i] = z[i] + beta * q[i];
-      }
-    }
-  }
-  dot_wz = wz;
-  norm_sq_z = zz;
-}
-
-/// Fused CG descent runner: aq = A q with qaq = <q, aq>, then — behind the
-/// caller's exact validity guard — alpha = rho / qaq, x += alpha * q,
-/// r -= alpha * aq.  `valid` is shared and set before the single's closing
-/// barrier, so every thread takes the same branch around the second
-/// worksharing loop; an invalid qaq leaves x and r bit-untouched, matching
-/// the unfused caller that returns before its axpy2.
-template <typename ColT>
-real_t run_fused_axpy2(const std::vector<index_t>& chunk_rows,
-                       const std::vector<std::int8_t>& chunk_width,
-                       const index_t* rp, const ColT* ci, const real_t* v,
-                       const real_t* q, real_t rho, real_t* aq, real_t* x,
-                       real_t* r) {
-  const index_t nc = static_cast<index_t>(chunk_rows.size()) - 1;
-  std::vector<real_t> part(static_cast<std::size_t>(nc), 0.0);
-  std::vector<real_t> unused(static_cast<std::size_t>(nc), 0.0);
-  real_t qaq = 0.0;
-  real_t alpha = 0.0;
-  bool valid = false;
-#pragma omp parallel if (nc > 1)
-  {
-#pragma omp for schedule(static)
-    for (index_t c = 0; c < nc; ++c) {
-      chunk_multiply_fused<false>(chunk_rows[c], chunk_rows[c + 1],
-                                  chunk_width[c], rp, ci, v, q, q, aq,
-                                  part[static_cast<std::size_t>(c)],
-                                  unused[static_cast<std::size_t>(c)]);
-    }
-#pragma omp single
-    {
-      for (index_t c = 0; c < nc; ++c) {
-        qaq += part[static_cast<std::size_t>(c)];
-      }
-      valid = std::isfinite(qaq) && qaq > 0.0;
-      if (valid) alpha = rho / qaq;
-    }
-    if (valid) {
-#pragma omp for schedule(static)
-      for (index_t c = 0; c < nc; ++c) {
-        for (index_t i = chunk_rows[c]; i < chunk_rows[c + 1]; ++i) {
-          x[i] += alpha * q[i];
-          r[i] -= alpha * aq[i];
-        }
-      }
-    }
-  }
-  return qaq;
-}
-
 template <typename ColT>
 void run_gather(const std::vector<index_t>& chunk_rows, const index_t* cp,
                 const ColT* src_row, const index_t* src_pos, const real_t* v,
@@ -453,39 +356,6 @@ void SpmvPlan::multiply_dot_norm2(const index_t* row_ptr,
     run_multiply_fused<true>(chunk_rows_, chunk_width_, row_ptr, col_idx,
                              values, x, w, y, dot_wy, norm_sq_y);
   }
-}
-
-void SpmvPlan::multiply_dot_norm2_xpby(const index_t* row_ptr,
-                                       const index_t* col_idx,
-                                       const real_t* values, const real_t* x,
-                                       const real_t* w, real_t* z,
-                                       real_t rho_prev, real_t* q,
-                                       real_t& dot_wz,
-                                       real_t& norm_sq_z) const {
-  dot_wz = 0.0;
-  norm_sq_z = 0.0;
-  if (num_chunks() == 0) return;
-  if (!col32_.empty()) {
-    run_fused_xpby(chunk_rows_, chunk_width_, row_ptr, col32_.data(), values,
-                   x, w, z, rho_prev, q, dot_wz, norm_sq_z);
-  } else {
-    run_fused_xpby(chunk_rows_, chunk_width_, row_ptr, col_idx, values, x, w,
-                   z, rho_prev, q, dot_wz, norm_sq_z);
-  }
-}
-
-real_t SpmvPlan::multiply_dot_axpy2(const index_t* row_ptr,
-                                    const index_t* col_idx,
-                                    const real_t* values, const real_t* q,
-                                    real_t rho, real_t* aq, real_t* x,
-                                    real_t* r) const {
-  if (num_chunks() == 0) return 0.0;
-  if (!col32_.empty()) {
-    return run_fused_axpy2(chunk_rows_, chunk_width_, row_ptr, col32_.data(),
-                           values, q, rho, aq, x, r);
-  }
-  return run_fused_axpy2(chunk_rows_, chunk_width_, row_ptr, col_idx, values,
-                         q, rho, aq, x, r);
 }
 
 void SpmvPlan::multiply_gather(const index_t* col_ptr, const index_t* src_row,

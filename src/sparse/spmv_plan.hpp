@@ -27,8 +27,9 @@
 ///
 /// The plan reads the CSR arrays it was built for on every call (values may
 /// change in place; the shape must not).  CsrMatrix owns one plan per
-/// matrix and the transpose gather plan reuses the same chunking machinery,
-/// so this is the layer a future sharded or multi-backend SpMV plugs into.
+/// matrix, the transpose gather plan reuses the same chunking machinery,
+/// and the sharded execution layer (sharded_plan.hpp) runs per-shard plans
+/// chunk by chunk and folds its reductions over this plan's chunk grid.
 
 #include <cstdint>
 #include <vector>
@@ -71,7 +72,7 @@ class SpmvPlan {
       index_t rows, const std::vector<index_t>& row_ptr);
 
   /// Run one chunk of the plan serially (no OpenMP): y over the chunk's
-  /// rows only.  The sharded backend flattens (shard, chunk) pairs into
+  /// rows only.  A ShardedPlan flattens (shard, chunk) pairs into
   /// its own parallel schedule and drives each chunk through this entry.
   void multiply_chunk(index_t c, const index_t* row_ptr,
                       const index_t* col_idx, const real_t* values,
@@ -93,35 +94,6 @@ class SpmvPlan {
                           const real_t* values, const real_t* x,
                           const real_t* w, real_t* y, real_t& dot_wy,
                           real_t& norm_sq_y) const;
-
-  /// The whole preconditioned-CG tail in one parallel region: z = A x with
-  /// <w, z> and <z, z> accumulated in the product pass, then — after the
-  /// fixed-chunk-order reduction — beta = <w, z> / rho_prev and
-  /// q = z + beta * q over the same chunk grid.  Fusing the q-recurrence
-  /// into the region saves a full parallel-region launch + vector sweep per
-  /// CG iteration; the reduction tree and the elementwise update expression
-  /// are exactly those of multiply_dot_norm2 followed by xpby, so the
-  /// result is bit-identical to composing them at any thread count.
-  void multiply_dot_norm2_xpby(const index_t* row_ptr, const index_t* col_idx,
-                               const real_t* values, const real_t* x,
-                               const real_t* w, real_t* z, real_t rho_prev,
-                               real_t* q, real_t& dot_wz,
-                               real_t& norm_sq_z) const;
-
-  /// The CG descent step in one parallel region: aq = A q with
-  /// qaq = <q, aq> from the product pass, then — when qaq is finite and
-  /// positive, exactly the caller's validity guard — alpha = rho / qaq and
-  /// x += alpha * q, r -= alpha * aq over the same chunk grid.  On an
-  /// invalid qaq (breakdown / divergence / non-finite) x and r are left
-  /// untouched, matching the unfused path that returns before its axpy2.
-  /// Returns qaq; bit-identical to multiply_dot + axpy2 at any thread
-  /// count.
-  [[nodiscard]] real_t multiply_dot_axpy2(const index_t* row_ptr,
-                                          const index_t* col_idx,
-                                          const real_t* values,
-                                          const real_t* q, real_t rho,
-                                          real_t* aq, real_t* x,
-                                          real_t* r) const;
 
   /// Gather kernel for a transposed view: y[j] = sum_k values[src_pos[k]] *
   /// x[src_row[k]] over k in [col_ptr[j], col_ptr[j+1]).  The plan must have

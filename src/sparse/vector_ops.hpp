@@ -330,51 +330,6 @@ inline real_t sub_scaled_norm(const std::vector<real_t>& x, real_t alpha,
   return std::sqrt(q);
 }
 
-/// Fully fused BiCGStab tail: x += alpha * p + omega * s and
-/// r = s - omega * t with ||r|| from the same pass — the axpy_pair +
-/// sub_scaled_norm sequence collapsed into one sweep.  Per element the
-/// expressions (and the fixed-block reduction) are exactly those of the
-/// two-kernel sequence, so the result is bit-identical to composing them.
-inline real_t axpy_pair_sub_norm(real_t alpha, const std::vector<real_t>& p,
-                                 real_t omega, const std::vector<real_t>& s,
-                                 const std::vector<real_t>& t,
-                                 std::vector<real_t>& x,
-                                 std::vector<real_t>& r) {
-  MCMI_CHECK(p.size() == x.size() && s.size() == x.size() &&
-                 t.size() == x.size(),
-             "axpy_pair_sub_norm: size mismatch");
-  r.resize(x.size());
-  const std::size_t n = x.size();
-  real_t q = 0.0;
-  if (n < vec_detail::kParallelThreshold) {
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] += alpha * p[i] + omega * s[i];
-      const real_t v = s[i] - omega * t[i];
-      r[i] = v;
-      q += v * v;
-    }
-    return std::sqrt(q);
-  }
-  const std::size_t blocks = (n + vec_detail::kBlock - 1) / vec_detail::kBlock;
-  std::vector<real_t> partial(blocks);
-#pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t blk = 0; blk < static_cast<std::ptrdiff_t>(blocks);
-       ++blk) {
-    const std::size_t begin = static_cast<std::size_t>(blk) * vec_detail::kBlock;
-    const std::size_t end = std::min(n, begin + vec_detail::kBlock);
-    real_t sum = 0.0;
-    for (std::size_t i = begin; i < end; ++i) {
-      x[i] += alpha * p[i] + omega * s[i];
-      const real_t v = s[i] - omega * t[i];
-      r[i] = v;
-      sum += v * v;
-    }
-    partial[static_cast<std::size_t>(blk)] = sum;
-  }
-  for (std::size_t blk = 0; blk < blocks; ++blk) q += partial[blk];
-  return std::sqrt(q);
-}
-
 /// y = x + beta * y (the BiCGStab / CG update shape).
 inline void xpby(const std::vector<real_t>& x, real_t beta,
                  std::vector<real_t>& y) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/rng.hpp"
 #include "dense/lu.hpp"
@@ -78,6 +79,43 @@ TEST(Cg, FiniteTerminationInExactArithmetic) {
   const SolveResult res = solve_cg(a, b, id, x, opt);
   EXPECT_TRUE(res.converged());
   EXPECT_LE(res.iterations, 35);
+}
+
+TEST(Cg, IndefiniteBreakdownLeavesIterateUntouched) {
+  // A symmetric indefinite operator: the 2-D Laplacian shifted below its
+  // four smallest eigenvalues, on a grid large enough for a multi-chunk
+  // SpMV plan.  The first curvature <q, Aq> = <b, Ab> is positive; a later
+  // one turns negative once the Krylov space resolves a negative
+  // eigenvalue.  That iteration must report kDiverged and return before it
+  // updates x or r, so x equals, bit for bit, the x of the same solve
+  // stopped one iteration earlier.
+  const CsrMatrix lap = laplace_2d(64);
+  const CsrMatrix a = lap.add_diagonal(
+      -0.02, std::vector<real_t>(static_cast<std::size_t>(lap.rows()), 1.0));
+  const std::vector<real_t> b = random_rhs(a.rows(), 11);
+  IdentityPreconditioner id;
+  SolveOptions opt;
+  opt.tolerance = 0.0;  // only the breakdown can end the solve early
+  opt.stagnation_window = 0;
+  opt.max_iterations = 2000;
+  std::vector<real_t> x;
+  const SolveResult res = solve_cg(a, b, id, x, opt);
+  ASSERT_EQ(res.status, SolveStatus::kDiverged);
+  // The solve broke down at iteration k = iterations + 1; k > 1 means at
+  // least one full update ran before it.
+  ASSERT_GE(res.iterations, 1);
+
+  SolveOptions stop_before = opt;
+  stop_before.max_iterations = res.iterations;  // k - 1
+  std::vector<real_t> x_before;
+  const SolveResult before = solve_cg(a, b, id, x_before, stop_before);
+  EXPECT_EQ(before.status, SolveStatus::kMaxIterations);
+  EXPECT_EQ(before.iterations, res.iterations);
+  ASSERT_EQ(x.size(), x_before.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&x[i], &x_before[i], sizeof(real_t)), 0)
+        << "x differs at " << i;
+  }
 }
 
 TEST(Gmres, SolvesNonsymmetricSystem) {

@@ -691,29 +691,29 @@ TEST(ArtifactStore, MatrixForCoalescesAndKeysByLayout) {
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < got.size(); ++t) {
     threads.emplace_back([&, t] {
-      got[t] = entry->matrix_for(PlanBackend::kShardedThreads, layout_a);
+      got[t] = entry->matrix_for(layout_a);
     });
   }
   for (std::thread& th : threads) th.join();
   for (const auto& m : got) {
     ASSERT_NE(m, nullptr);
     EXPECT_EQ(m, got[0]);  // one shared bound matrix, not eight
-    EXPECT_EQ(m->plan_backend(), PlanBackend::kShardedThreads);
+    ASSERT_NE(m->sharded_plan(), nullptr);
+    EXPECT_EQ(m->sharded_plan()->layout(), layout_a);
   }
   EXPECT_EQ(entry->plan_builds(), 1u);
 
   // Repeat lookups under the same key never rebuild.
-  EXPECT_EQ(entry->matrix_for(PlanBackend::kShardedThreads, layout_a), got[0]);
+  EXPECT_EQ(entry->matrix_for(layout_a), got[0]);
   EXPECT_EQ(entry->plan_builds(), 1u);
 
   // A different layout is a different key: second build, different matrix.
-  const auto under_b = entry->matrix_for(PlanBackend::kShardedThreads, layout_b);
+  const auto under_b = entry->matrix_for(layout_b);
   EXPECT_NE(under_b, got[0]);
   EXPECT_EQ(entry->plan_builds(), 2u);
 
-  // The single-plan identity key is the pinned matrix itself, build-free.
-  EXPECT_EQ(entry->matrix_for(PlanBackend::kSingle, ShardLayout{}),
-            entry->matrix());
+  // The empty layout is the pinned matrix itself, build-free.
+  EXPECT_EQ(entry->matrix_for(ShardLayout{}), entry->matrix());
   EXPECT_EQ(entry->plan_builds(), 2u);
 
   // Every bound matrix produces the pinned matrix's bits.
@@ -765,8 +765,8 @@ TEST(SolveService, ShardedBuildServesUnderOtherLayoutBitIdentically) {
 
   // The same warm artifact serves under yet another layout: rebinding the
   // entry's matrix to 5 shards leaves the product bits unchanged.
-  const auto rebound = entry->matrix_for(
-      PlanBackend::kShardedThreads, ShardLayout::nnz_balanced(5, a.row_ptr()));
+  const auto rebound =
+      entry->matrix_for(ShardLayout::nnz_balanced(5, a.row_ptr()));
   EXPECT_EQ(rebound->multiply(b), entry->matrix()->multiply(b));
 }
 

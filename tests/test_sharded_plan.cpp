@@ -4,10 +4,9 @@
 // counts {1, 2, 3, 4, 8} (plus the CI matrix leg's MCMI_TEST_SHARDS), shard
 // counts coprime to the thread count, degenerate layouts (empty shard,
 // single-row shards, everything-in-one-shard), a seeded 200-layout
-// reduction-order fuzz test against ShardReducer::reference, the
-// PlanBackend registry's stubbed-accelerator contract, and the regression
-// guard that no stale content-keyed single plan is observed after a
-// backend switch.
+// reduction-order fuzz test against ShardReducer::reference, and the
+// regression guard that no stale content-keyed single plan is observed
+// after a shard-layout switch.
 
 #include <gtest/gtest.h>
 
@@ -31,8 +30,10 @@
 #include "gen/random_sparse.hpp"
 #include "krylov/solver.hpp"
 #include "mcmc/batched_build.hpp"
+#include "mcmc/inverter.hpp"
 #include "precond/jacobi.hpp"
 #include "precond/preconditioner.hpp"
+#include "precond/sparse_precond.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/sharded_plan.hpp"
 #include "sparse/spmv_plan.hpp"
@@ -71,10 +72,10 @@ std::vector<real_t> test_vector(index_t n, u64 salt) {
   return x;
 }
 
-/// A copy of `a` bound to the sharded backend under `layout`.
+/// A copy of `a` bound to a sharded plan under `layout`.
 CsrMatrix sharded_copy(const CsrMatrix& a, ShardLayout layout) {
   CsrMatrix s = a;
-  s.set_plan_backend(PlanBackend::kShardedThreads, std::move(layout));
+  s.set_shard_layout(std::move(layout));
   return s;
 }
 
@@ -153,7 +154,7 @@ TEST(ShardedPlanConformance, SpmvBitIdenticalAcrossShardCounts) {
       SCOPED_TRACE("shards=" + std::to_string(s));
       const CsrMatrix sharded =
           sharded_copy(a, ShardLayout::nnz_balanced(s, a.row_ptr()));
-      ASSERT_EQ(sharded.plan_backend(), PlanBackend::kShardedThreads);
+      ASSERT_NE(sharded.sharded_plan(), nullptr);
       EXPECT_EQ(sharded.multiply(x), golden);  // element-exact
     }
   }
@@ -260,15 +261,23 @@ TEST(ShardedPlanConformance, KrylovSolvesBitIdenticalAcrossShardCounts) {
   const CsrMatrix nonsym = pdd_real_sparse(200, 0.1, 31);
   const JacobiPreconditioner jacobi(spd);
   const IdentityPreconditioner identity;
+  // An MCMC P ~ A^-1 for the SPD system.  The sharded case binds P to the
+  // same shard count as A, each over its own nnz balance, as the serving
+  // layer does at swap-in, so CG's preconditioner tail runs sharded too.
+  const CsrMatrix p_mcmc =
+      McmcInverter(spd, {1.0, 0.25, 0.25}, McmcOptions{}).compute();
+  const SparseApproximateInverse spai(p_mcmc, "mcmc");
 
   struct Case {
     std::string name;
     KrylovMethod method;
     const CsrMatrix* a;
     const Preconditioner* p;
+    bool shard_p = false;  ///< bind P to the operator's shard count
   };
   const std::vector<Case> cases = {
       {"cg/laplace", KrylovMethod::kCG, &spd, &jacobi},
+      {"cg/laplace/sharded-spai", KrylovMethod::kCG, &spd, &spai, true},
       {"gmres/pdd", KrylovMethod::kGMRES, &nonsym, &identity},
       {"bicgstab/pdd", KrylovMethod::kBiCGStab, &nonsym, &identity},
   };
@@ -282,8 +291,16 @@ TEST(ShardedPlanConformance, KrylovSolvesBitIdenticalAcrossShardCounts) {
       SCOPED_TRACE("shards=" + std::to_string(s));
       const CsrMatrix sharded =
           sharded_copy(*c.a, ShardLayout::nnz_balanced(s, c.a->row_ptr()));
+      const Preconditioner* p = c.p;
+      SparseApproximateInverse sharded_spai(p_mcmc, "mcmc");
+      if (c.shard_p) {
+        sharded_spai.set_shard_layout(
+            ShardLayout::nnz_balanced(s, p_mcmc.row_ptr()));
+        ASSERT_NE(sharded_spai.matrix().sharded_plan(), nullptr);
+        p = &sharded_spai;
+      }
       std::vector<real_t> x;
-      const SolveResult result = solve(c.method, sharded, b, *c.p, x, options);
+      const SolveResult result = solve(c.method, sharded, b, *p, x, options);
       EXPECT_EQ(result.iterations, golden.iterations);
       EXPECT_EQ(x, x_golden);  // bit-identical trajectory end to end
     }
@@ -416,150 +433,57 @@ TEST(ShardRowSpans, CoverEveryRowWithoutCrossingShards) {
 }
 
 // ---------------------------------------------------------------------------
-// Backend registry: the stubbed accelerator slot and mock dispatch
+// Stale-plan regression: layout switches must never serve the old plan
 // ---------------------------------------------------------------------------
 
-/// Mock device execution: writes a sentinel so any product that still went
-/// through a cached host plan is unmistakable.
-class SentinelExecution final : public PlanExecution {
- public:
-  static constexpr real_t kSentinel = -12345.5;
-  static int live_calls;
-
-  [[nodiscard]] PlanBackend backend() const override {
-    return PlanBackend::kAccelerator;
-  }
-  [[nodiscard]] const ShardLayout& layout() const override { return layout_; }
-  void multiply(const index_t*, const index_t*, const real_t*, const real_t*,
-                real_t* y) const override {
-    ++live_calls;
-    for (index_t i = 0; i < rows_; ++i) y[i] = kSentinel;
-  }
-  [[nodiscard]] real_t multiply_dot(const index_t* row_ptr,
-                                    const index_t* col_idx,
-                                    const real_t* values, const real_t* x,
-                                    const real_t*, real_t* y) const override {
-    multiply(row_ptr, col_idx, values, x, y);
-    return kSentinel;
-  }
-  void multiply_dot_norm2(const index_t* row_ptr, const index_t* col_idx,
-                          const real_t* values, const real_t* x,
-                          const real_t*, real_t* y, real_t& dot_wy,
-                          real_t& norm_sq_y) const override {
-    multiply(row_ptr, col_idx, values, x, y);
-    dot_wy = kSentinel;
-    norm_sq_y = kSentinel;
-  }
-
-  index_t rows_ = 0;
-
- private:
-  ShardLayout layout_;
-};
-
-int SentinelExecution::live_calls = 0;
-
-TEST(PlanBackendRegistry, AcceleratorSlotIsStubbed) {
-  auto& registry = PlanBackendRegistry::instance();
-  EXPECT_TRUE(registry.available(PlanBackend::kSingle));
-  EXPECT_TRUE(registry.available(PlanBackend::kShardedThreads));
-  EXPECT_FALSE(registry.available(PlanBackend::kAccelerator));
-
-  const CsrMatrix a = laplace_2d(6);
-  EXPECT_THROW(registry.create(PlanBackend::kAccelerator, a.rows(), a.cols(),
-                               a.row_ptr(), a.col_idx(), ShardLayout{}),
-               Error);
-  CsrMatrix m = a;
-  EXPECT_THROW(m.set_plan_backend(PlanBackend::kAccelerator), Error);
-  // Built-in backends may not be unregistered (the stub slot is the only
-  // mutable one).
-  EXPECT_THROW(registry.unregister_backend(PlanBackend::kSingle), Error);
-  EXPECT_THROW(registry.unregister_backend(PlanBackend::kShardedThreads),
-               Error);
-}
-
-TEST(PlanBackendRegistry, MockAcceleratorDispatchesThroughRegistry) {
-  auto& registry = PlanBackendRegistry::instance();
-  registry.register_backend(
-      PlanBackend::kAccelerator,
-      [](index_t rows, index_t, const std::vector<index_t>&,
-         const std::vector<index_t>&, const ShardLayout&) {
-        auto exec = std::make_unique<SentinelExecution>();
-        exec->rows_ = rows;
-        return exec;
-      });
-  EXPECT_TRUE(registry.available(PlanBackend::kAccelerator));
-
-  const CsrMatrix a = laplace_2d(6);
-  CsrMatrix m = a;
-  m.set_plan_backend(PlanBackend::kAccelerator);
-  EXPECT_EQ(m.plan_backend(), PlanBackend::kAccelerator);
-
-  const int calls_before = SentinelExecution::live_calls;
-  const std::vector<real_t> x = test_vector(a.cols(), 41);
-  const std::vector<real_t> y = m.multiply(x);
-  EXPECT_GT(SentinelExecution::live_calls, calls_before);
-  for (const real_t v : y) EXPECT_EQ(v, SentinelExecution::kSentinel);
-
-  // Restore the stub and confirm the slot reports unavailable again.
-  registry.unregister_backend(PlanBackend::kAccelerator);
-  EXPECT_FALSE(registry.available(PlanBackend::kAccelerator));
-}
-
-// ---------------------------------------------------------------------------
-// Stale-plan regression: backend switches must never serve the old plan
-// ---------------------------------------------------------------------------
-
-TEST(PlanBackendSwitch, NoStalePlanAfterBackendSwitch) {
-  // The content-keyed lazy SpmvPlan cache knows nothing about backends; a
-  // switch must be observed by the very next product.  The sentinel mock
-  // makes a stale host plan unmistakable.
+TEST(ShardLayoutSwitch, NoStalePlanAfterLayoutSwitch) {
+  // The content-keyed lazy SpmvPlan cache knows nothing about shards; a
+  // switch must be observed through the accessor by the very next product,
+  // and every product keeps the single plan's bits.
   const CsrMatrix golden_matrix = laplace_2d(16);
   const std::vector<real_t> x = test_vector(golden_matrix.cols(), 43);
   const std::vector<real_t> golden = golden_matrix.multiply(x);
 
   CsrMatrix m = golden_matrix;
-  EXPECT_EQ(m.plan_backend(), PlanBackend::kSingle);
+  EXPECT_EQ(m.sharded_plan(), nullptr);
   EXPECT_EQ(m.multiply(x), golden);  // populates the lazy single plan
 
-  // kSingle -> kShardedThreads: backend flips, bits do not.
-  m.set_plan_backend(PlanBackend::kShardedThreads,
-                     ShardLayout::nnz_balanced(3, m.row_ptr()));
-  EXPECT_EQ(m.plan_backend(), PlanBackend::kShardedThreads);
+  // Single plan -> 3 shards: the plan flips, bits do not.
+  const ShardLayout three = ShardLayout::nnz_balanced(3, m.row_ptr());
+  m.set_shard_layout(three);
+  const auto bound_three = m.sharded_plan();
+  ASSERT_NE(bound_three, nullptr);
+  EXPECT_EQ(bound_three->layout(), three);
   EXPECT_EQ(m.multiply(x), golden);
 
-  // kShardedThreads -> mock kAccelerator: the sentinel proves the product
-  // went through the new execution, not any cached plan.
-  auto& registry = PlanBackendRegistry::instance();
-  registry.register_backend(
-      PlanBackend::kAccelerator,
-      [](index_t rows, index_t, const std::vector<index_t>&,
-         const std::vector<index_t>&, const ShardLayout&) {
-        auto exec = std::make_unique<SentinelExecution>();
-        exec->rows_ = rows;
-        return exec;
-      });
-  m.set_plan_backend(PlanBackend::kAccelerator);
-  const std::vector<real_t> sentinel = m.multiply(x);
-  for (const real_t v : sentinel) EXPECT_EQ(v, SentinelExecution::kSentinel);
-  registry.unregister_backend(PlanBackend::kAccelerator);
+  // 3 shards -> single-row shards: a fresh plan under the new layout.
+  const ShardLayout single_rows = ShardLayout::uniform(m.rows(), m.rows());
+  m.set_shard_layout(single_rows);
+  const auto bound_rows = m.sharded_plan();
+  ASSERT_NE(bound_rows, nullptr);
+  EXPECT_NE(bound_rows, bound_three);
+  EXPECT_EQ(bound_rows->layout(), single_rows);
+  EXPECT_EQ(bound_rows->num_shards(), m.rows());
+  EXPECT_EQ(m.multiply(x), golden);
 
-  // Back to kSingle: the original bits return.
-  m.set_plan_backend(PlanBackend::kSingle);
-  EXPECT_EQ(m.plan_backend(), PlanBackend::kSingle);
+  // Back to the single plan: the accessor clears, the original bits return.
+  m.set_shard_layout(ShardLayout{});
+  EXPECT_EQ(m.sharded_plan(), nullptr);
   EXPECT_EQ(m.multiply(x), golden);
 }
 
-TEST(PlanBackendSwitch, CopiesInheritTheBoundBackend) {
+TEST(ShardLayoutSwitch, CopiesInheritTheBoundLayout) {
   const CsrMatrix a = laplace_2d(12);
   CsrMatrix m = a;
-  m.set_plan_backend(PlanBackend::kShardedThreads,
-                     ShardLayout::nnz_balanced(2, m.row_ptr()));
+  const ShardLayout two = ShardLayout::nnz_balanced(2, m.row_ptr());
+  m.set_shard_layout(two);
   const CsrMatrix copy = m;
-  EXPECT_EQ(copy.plan_backend(), PlanBackend::kShardedThreads);
+  ASSERT_NE(copy.sharded_plan(), nullptr);
+  EXPECT_EQ(copy.sharded_plan()->layout(), two);
   CsrMatrix assigned;
   assigned = m;
-  EXPECT_EQ(assigned.plan_backend(), PlanBackend::kShardedThreads);
+  ASSERT_NE(assigned.sharded_plan(), nullptr);
+  EXPECT_EQ(assigned.sharded_plan()->layout(), two);
 
   const std::vector<real_t> x = test_vector(a.cols(), 47);
   EXPECT_EQ(copy.multiply(x), a.multiply(x));

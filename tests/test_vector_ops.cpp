@@ -1,11 +1,10 @@
-// Property suite for the fused vector kernels of sparse/vector_ops.hpp and
-// the fused-recurrence SpmvPlan entries: every fused kernel must be
-// *bit-identical* to the composition of the primitives it replaced, at any
-// OpenMP thread count and on sizes that are not multiples of the reduction
-// block (kBlock = 4096) on both sides of the parallel threshold
-// (kParallelThreshold = 16384).  The Krylov solvers rely on this — swapping
-// a composed sequence for its fused kernel must never change a solve by a
-// single bit.
+// Property suite for the fused vector kernels of sparse/vector_ops.hpp:
+// every fused kernel must be *bit-identical* to the composition of the
+// primitives it replaced, at any OpenMP thread count and on sizes that are
+// not multiples of the reduction block (kBlock = 4096) on both sides of the
+// parallel threshold (kParallelThreshold = 16384).  The Krylov solvers
+// rely on this — swapping a composed sequence for its fused kernel must
+// never change a solve by a single bit.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +16,6 @@
 #include <omp.h>
 #endif
 
-#include "gen/laplace.hpp"
-#include "sparse/csr.hpp"
 #include "sparse/vector_ops.hpp"
 
 namespace mcmi {
@@ -164,26 +161,6 @@ TEST(VectorOps, SubScaledNormMatchesReferenceAndDot) {
   }
 }
 
-TEST(VectorOps, AxpyPairSubNormMatchesComposedPair) {
-  for (std::size_t n : kSizes) {
-    const auto p = test_vec(n, 18);
-    const auto s = test_vec(n, 19);
-    const auto t = test_vec(n, 20);
-    for_thread_counts([&] {
-      auto x = test_vec(n, 21);
-      std::vector<real_t> r;
-      auto x_ref = x;
-      std::vector<real_t> r_ref;
-      const real_t fused = axpy_pair_sub_norm(0.5625, p, -0.21875, s, t, x, r);
-      axpy_pair(0.5625, p, -0.21875, s, x_ref);
-      const real_t composed = sub_scaled_norm(s, -0.21875, t, r_ref);
-      expect_same_bits(x, x_ref, "axpy_pair_sub_norm x");
-      expect_same_bits(r, r_ref, "axpy_pair_sub_norm r");
-      EXPECT_EQ(bits_of(fused), bits_of(composed));
-    });
-  }
-}
-
 TEST(VectorOps, FusedKernelsThreadCountInvariant) {
   // Every fused reduction at 2 and 4 threads must reproduce its 1-thread
   // bits exactly (the fixed-block contract the Krylov determinism tests
@@ -196,7 +173,8 @@ TEST(VectorOps, FusedKernelsThreadCountInvariant) {
   for_thread_counts([&] {
     auto x = test_vec(n, 25);
     std::vector<real_t> r;
-    const real_t nrm = axpy_pair_sub_norm(0.5, p, 0.25, s, t, x, r);
+    axpy_pair(0.5, p, 0.25, s, x);
+    const real_t nrm = sub_scaled_norm(s, 0.25, t, r);
     auto y = test_vec(n, 26);
     const real_t d = axpy_dot(0.75, p, y, s);
     const real_t q = axpy_norm2_sq(-0.5, t, y);
@@ -208,75 +186,6 @@ TEST(VectorOps, FusedKernelsThreadCountInvariant) {
     } else {
       EXPECT_EQ(got, reference);
     }
-  });
-}
-
-TEST(VectorOps, PlanXpbyFusionMatchesComposition) {
-  // multiply_dot_norm2_xpby == multiply_dot_norm2 followed by xpby, bit for
-  // bit, at every thread count.  45^2 rows exercise the multi-chunk grid.
-  for (index_t m : {9, 45, 150}) {
-    const CsrMatrix a = laplace_2d(m);
-    const auto n = static_cast<std::size_t>(a.rows());
-    const auto x = test_vec(n, 27);
-    const auto w = test_vec(n, 28);
-    for_thread_counts([&] {
-      std::vector<real_t> z, z_ref;
-      auto q = test_vec(n, 29);
-      auto q_ref = q;
-      real_t dwz = 0.0, nsz = 0.0, dwz_ref = 0.0, nsz_ref = 0.0;
-      a.multiply_dot_norm2_xpby(x, z, w, 0.8125, q, dwz, nsz);
-      a.multiply_dot_norm2(x, z_ref, w, dwz_ref, nsz_ref);
-      xpby(z_ref, dwz_ref / 0.8125, q_ref);
-      EXPECT_EQ(bits_of(dwz), bits_of(dwz_ref));
-      EXPECT_EQ(bits_of(nsz), bits_of(nsz_ref));
-      expect_same_bits(z, z_ref, "xpby fusion z");
-      expect_same_bits(q, q_ref, "xpby fusion q");
-    });
-  }
-}
-
-TEST(VectorOps, PlanAxpy2FusionMatchesComposition) {
-  for (index_t m : {9, 45, 150}) {
-    const CsrMatrix a = laplace_2d(m);
-    const auto n = static_cast<std::size_t>(a.rows());
-    const auto q = test_vec(n, 30);
-    for_thread_counts([&] {
-      std::vector<real_t> aq, aq_ref;
-      auto x = test_vec(n, 31);
-      auto r = test_vec(n, 32);
-      auto x_ref = x;
-      auto r_ref = r;
-      const real_t qaq = a.multiply_dot_axpy2(q, 0.6875, aq, x, r);
-      const real_t qaq_ref = a.multiply_dot(q, aq_ref);
-      if (std::isfinite(qaq_ref) && qaq_ref > 0.0) {
-        axpy2(0.6875 / qaq_ref, q, aq_ref, x_ref, r_ref);
-      }
-      EXPECT_EQ(bits_of(qaq), bits_of(qaq_ref));
-      expect_same_bits(aq, aq_ref, "axpy2 fusion aq");
-      expect_same_bits(x, x_ref, "axpy2 fusion x");
-      expect_same_bits(r, r_ref, "axpy2 fusion r");
-    });
-  }
-}
-
-TEST(VectorOps, PlanAxpy2FusionSkipsUpdateOnInvalidQaq) {
-  // -A is negative definite, so qaq < 0: the fused kernel must leave x and
-  // r bit-untouched, exactly like the unfused CG loop that returns before
-  // its axpy2.
-  CsrMatrix a = laplace_2d(20);
-  for (real_t& v : a.values()) v = -v;
-  const auto n = static_cast<std::size_t>(a.rows());
-  const auto q = test_vec(n, 33);
-  for_thread_counts([&] {
-    std::vector<real_t> aq;
-    auto x = test_vec(n, 34);
-    auto r = test_vec(n, 35);
-    const auto x_before = x;
-    const auto r_before = r;
-    const real_t qaq = a.multiply_dot_axpy2(q, 1.0, aq, x, r);
-    EXPECT_LT(qaq, 0.0);
-    expect_same_bits(x, x_before, "invalid qaq x");
-    expect_same_bits(r, r_before, "invalid qaq r");
   });
 }
 
